@@ -8,7 +8,8 @@ order with identical results.
 from __future__ import annotations
 
 import csv
-from typing import IO, Iterable
+from functools import reduce
+from typing import IO, Iterable, Iterator
 
 from .errors import ArithmeticOverflowError, EmptyKeyError, MalformedLineError
 from .model import (
@@ -77,29 +78,16 @@ def merge_tables(a: TallyTable, b: TallyTable) -> TallyTable:
 def aggregate_corpus(records: Iterable[CitationRecord], shards: int = 1) -> TallyTable:
     """Tally a record stream; the result is independent of the shard count.
 
-    With ``shards > 1`` records are dealt round-robin to independent
-    accumulators which are then merged, exercising the same path a parallel
-    ingest would use. Output equals the sequential fold for every shard count.
+    With ``shards > 1`` records are dealt round-robin to independent folds
+    whose tables are then merged, exercising the same path a parallel ingest
+    would use. Output equals the sequential fold for every shard count.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     if shards == 1:
         return _fold(records)
-    parts: list[dict[JournalKey, list[int]]] = [{} for _ in range(shards)]
-    i = 0
-    for rec in records:
-        acc = parts[i]
-        i += 1
-        if i == shards:
-            i = 0
-        counts = acc.get(rec.journal)
-        if counts is None:
-            counts = acc[rec.journal] = [0, 0, 0]
-        counts[_IDX[rec.klass]] += 1
-    table: TallyTable = {}
-    for acc in parts:
-        table = merge_tables(table, {k: JournalTally(*v) for k, v in acc.items()})
-    return table
+    dealt = list(records)
+    return reduce(merge_tables, (_fold(dealt[i::shards]) for i in range(shards)), {})
 
 
 def _fold(records: Iterable[CitationRecord]) -> TallyTable:
@@ -107,11 +95,11 @@ def _fold(records: Iterable[CitationRecord]) -> TallyTable:
     acc: dict[JournalKey, list[int]] = {}
     get = acc.get
     idx = _IDX
-    for rec in records:
-        counts = get(rec.journal)
+    for _, journal, klass in records:
+        counts = get(journal)
         if counts is None:
-            counts = acc[rec.journal] = [0, 0, 0]
-        counts[idx[rec.klass]] += 1
+            counts = acc[journal] = [0, 0, 0]
+        counts[idx[klass]] += 1
     return {k: JournalTally(*v) for k, v in acc.items()}
 
 
@@ -131,6 +119,13 @@ def write_tally_csv(table: TallyTable, out: IO[str]) -> None:
 def read_tally_csv(source: Iterable[str]) -> TallyTable:
     """Parse a tally CSV back into a table, validating counts and totals."""
     reader = csv.reader(source)
+    try:
+        return _read_tally_rows(reader)
+    except csv.Error as exc:
+        raise MalformedLineError(f"line {reader.line_num}: invalid CSV: {exc}") from None
+
+
+def _read_tally_rows(reader: Iterator[list[str]]) -> TallyTable:
     header = tuple(next(reader, ()))
     if header != TALLY_HEADER:
         raise MalformedLineError(

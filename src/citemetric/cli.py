@@ -8,17 +8,14 @@ as the checkpoint between aggregation and reporting:
     citemetric report tallies.csv -o out/
 
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 data error, 3 I/O error. All outputs are deterministic for fixed inputs,
-independent of the parallelism degree (``CITEMETRIC_THREADS`` caps the
-number of input files ingested concurrently).
+2 data error, 3 I/O error. All outputs are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 from pathlib import Path
 from typing import NoReturn, Sequence
 
@@ -52,6 +49,9 @@ EXIT_DATA = 2
 EXIT_IO = 3
 
 PROG = "citemetric"
+
+#: Most copies of one synth line joined into a single write.
+_SYNTH_CHUNK_LINES = 1024
 
 _SYNTH_FIELDS = (
     "journals",
@@ -152,19 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("CITEMETRIC_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidParamsError(f"CITEMETRIC_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise InvalidParamsError(f"CITEMETRIC_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def _ingest_file(path: str, fmt: Format, policy: Policy) -> tuple[TallyTable, IngestReport]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -187,12 +174,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     fmt = Format(args.format)
     policy = Policy(args.policy)
     paths: list[str] = args.inputs
-    workers = min(len(paths), _thread_cap())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda p: _ingest_file(p, fmt, policy), paths))
-    else:
-        results = [_ingest_file(p, fmt, policy) for p in paths]
+    results = [_ingest_file(p, fmt, policy) for p in paths]
     combined: TallyTable = {}
     for path, (table, report) in zip(paths, results):
         _print_report(path, report)
@@ -203,8 +185,11 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    with open(args.tally, encoding="utf-8") as fh:
-        table = read_tally_csv(fh)
+    try:
+        with open(args.tally, encoding="utf-8") as fh:
+            table = read_tally_csv(fh)
+    except UnicodeDecodeError as exc:
+        raise MalformedLineError(f"{args.tally}: invalid UTF-8: {exc}") from exc
     config = MetricsConfig(args.min_citations, args.min_classified)
     metrics = build_metrics_table(table, config)
     eligible_si = [m.scite_index for m in metrics if m.eligible]
@@ -248,9 +233,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         if fmt is Format.CSV:
             fh.write(",".join(CSV_HEADER) + "\n")
-        for record in generate_corpus(params):
-            fh.write(format_record(record, fmt))
-            fh.write("\n")
+        # Runs of identical records are common (the generator emits each
+        # journal's records class by class), so each run is formatted once.
+        for record, run in groupby(generate_corpus(params)):
+            line = format_record(record, fmt) + "\n"
+            left = sum(1 for _ in run)
+            while left:
+                n = min(left, _SYNTH_CHUNK_LINES)
+                fh.write(line * n)
+                left -= n
     return EXIT_OK
 
 

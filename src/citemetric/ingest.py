@@ -25,6 +25,8 @@ MAX_REPORTED_ERRORS = 20
 
 _CLASS_BY_LABEL = {c.value: c for c in CitationClass}
 
+_decode_json = json.JSONDecoder().decode
+
 
 class Format(Enum):
     CSV = "csv"
@@ -51,20 +53,23 @@ class IngestReport:
     first_errors: list[tuple[int, str]] = field(default_factory=list)
 
 
-def parse_record(line: str, fmt: Format) -> CitationRecord:
-    """Parse one data line into a record with a normalized journal key.
+def _csv_row(line: str) -> list[str]:
+    try:
+        return next(csv.reader((line,)), [])
+    except csv.Error as exc:
+        raise MalformedLineError(f"invalid CSV: {exc}") from None
 
-    Class labels are matched case-insensitively against exactly
-    supporting/disputing/mentioning.
+
+def _fields(line: str, fmt: Format) -> tuple[str, str, str]:
+    """Split one data line into its raw ``(citing_id, journal, label)``.
 
     Raises:
-        MalformedLineError: wrong field count or invalid JSON object.
-        UnknownClassError: class label outside the taxonomy.
-        EmptyKeyError: journal field normalizes to the empty string.
+        MalformedLineError: wrong field count, invalid CSV or JSON, or a
+            non-string field.
     """
     if fmt is Format.JSONL:
         try:
-            obj = json.loads(line)
+            obj = _decode_json(line)
         except ValueError as exc:
             raise MalformedLineError(f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
@@ -78,16 +83,35 @@ def parse_record(line: str, fmt: Format) -> CitationRecord:
         if not (isinstance(journal, str) and isinstance(label, str) and isinstance(citing_id, str)):
             raise MalformedLineError("citing_id, journal and class must be strings")
     elif fmt is Format.CSV:
-        row = next(csv.reader([line]), [])
+        row = _csv_row(line)
         if len(row) != len(CSV_HEADER):
             raise MalformedLineError(f"expected {len(CSV_HEADER)} CSV fields, got {len(row)}")
         citing_id, journal, label = row
     else:
         raise ValueError(f"unsupported format: {fmt!r}")
+    return citing_id, journal, label
 
+
+def _class_of(label: str) -> CitationClass:
     klass = _CLASS_BY_LABEL.get(label.casefold())
     if klass is None:
         raise UnknownClassError(f"unknown citation class {label!r}")
+    return klass
+
+
+def parse_record(line: str, fmt: Format) -> CitationRecord:
+    """Parse one data line into a record with a normalized journal key.
+
+    Class labels are matched case-insensitively against exactly
+    supporting/disputing/mentioning.
+
+    Raises:
+        MalformedLineError: wrong field count, invalid CSV or invalid JSON object.
+        UnknownClassError: class label outside the taxonomy.
+        EmptyKeyError: journal field normalizes to the empty string.
+    """
+    citing_id, journal, label = _fields(line, fmt)
+    klass = _class_of(label)
     return CitationRecord(citing_id, normalize_journal_key(journal), klass)
 
 
@@ -132,6 +156,12 @@ def ingest_stream(
     report = IngestReport()
 
     def records() -> Iterator[CitationRecord]:
+        # Per-stream caches of successful lookups only: a failing label or
+        # journal raises again on every line that carries it, so error counts
+        # and line numbers match a plain per-line parse_record.
+        classes: dict[str, CitationClass] = {}
+        keys: dict[str, str] = {}
+        fields, new_record = _fields, tuple.__new__
         need_header = fmt is Format.CSV
         lineno = 0
         for raw in source:
@@ -140,15 +170,26 @@ def ingest_stream(
             if lineno == 1 and line.startswith("\ufeff"):
                 line = line[1:]
             if need_header:
-                row = tuple(next(csv.reader([line]), ()))
-                if row != CSV_HEADER:
+                try:
+                    header = tuple(_csv_row(line))
+                except MalformedLineError as exc:
+                    raise MalformedLineError(f"line 1: {exc}") from None
+                if header != CSV_HEADER:
                     raise MalformedLineError(
                         f"line 1: expected CSV header {','.join(CSV_HEADER)!r}, got {line!r}"
                     )
                 need_header = False
                 continue
             try:
-                rec = parse_record(line, fmt)
+                citing_id, journal, label = fields(line, fmt)
+                klass = classes.get(label)
+                if klass is None:
+                    klass = classes[label] = _class_of(label)
+                key = keys.get(journal)
+                if key is None:
+                    key = normalize_journal_key(journal)
+                    # Share the raw string when it is already normalized.
+                    key = keys[journal] = journal if key == journal else key
             except CitemetricError as exc:
                 report.rejected += 1
                 if len(report.first_errors) < MAX_REPORTED_ERRORS:
@@ -157,7 +198,7 @@ def ingest_stream(
                     raise type(exc)(f"line {lineno}: {exc}") from None
                 continue
             report.accepted += 1
-            yield rec
+            yield new_record(CitationRecord, (citing_id, key, klass))
         if need_header:
             raise MalformedLineError("line 1: missing CSV header")
 

@@ -30,6 +30,11 @@ class CitationClass(Enum):
     DISPUTING = "disputing"
     MENTIONING = "mentioning"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality; it is C-level where Enum's hashes the name
+    # in Python, which shows in the per-record tally fold.
+    __hash__ = object.__hash__
+
 
 def normalize_journal_key(raw: str) -> JournalKey:
     """Canonicalize a raw journal identifier.

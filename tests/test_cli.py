@@ -5,6 +5,11 @@ from pathlib import Path
 import pytest
 
 from citemetric.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, run
+from citemetric.ingest import CSV_HEADER, Format, format_record
+from citemetric.synth import SynthParams, generate_corpus
+
+#: A field longer than the csv module's default field size limit (131072).
+HUGE = "x" * 200_000
 
 GOOD_LINES = [
     '{"journal":"alpha","class":"supporting"}',
@@ -106,28 +111,31 @@ class TestAggregate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        files = [
-            write_lines(tmp_path / f"f{i}.jsonl", GOOD_LINES) for i in range(4)
-        ]
-        base = tmp_path / "base.csv"
-        assert run(["aggregate", *map(str, files), "-o", str(base)]) == EXIT_OK
-        monkeypatch.setenv("CITEMETRIC_THREADS", "3")
-        capped = tmp_path / "capped.csv"
-        assert run(["aggregate", *map(str, files), "-o", str(capped)]) == EXIT_OK
-        assert base.read_bytes() == capped.read_bytes()
-
-    def test_invalid_thread_cap_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
-        monkeypatch.setenv("CITEMETRIC_THREADS", "zero")
-        assert run(["aggregate", str(src), "-o", str(tmp_path / "t.csv")]) == EXIT_USAGE
-        assert "CITEMETRIC_THREADS" in capsys.readouterr().err
-
     def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "bad.jsonl"
         src.write_bytes(b'{"journal":"a","class":"supporting"}\n\xff\xfe\n')
         assert run(["aggregate", str(src), "-o", str(tmp_path / "t.csv")]) == EXIT_DATA
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_oversized_csv_field_is_a_rejected_line(self, tmp_path, capsys):
+        src = write_lines(
+            tmp_path / "in.csv",
+            ["citing_id,journal,class", "w1,alpha,supporting", f"w2,{HUGE},supporting", "w3,alpha,disputing"],
+        )
+        out = tmp_path / "t.csv"
+        assert run(["aggregate", "-f", "csv", "--policy", "skip", str(src), "-o", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert "2 accepted, 1 rejected" in err
+        assert "in.csv:3: MalformedLineError: invalid CSV: field larger than field limit" in err
+        assert "alpha,1,1,0,2" in out.read_text()
+        assert run(["aggregate", "-f", "csv", str(src), "-o", str(out)]) == EXIT_DATA
+        assert "line 3" in capsys.readouterr().err
+
+    def test_oversized_csv_header_is_data_error(self, tmp_path, capsys):
+        src = write_lines(tmp_path / "in.csv", [f"citing_id,{HUGE},class", "w1,alpha,supporting"])
+        code = run(["aggregate", "-f", "csv", "--policy", "skip", str(src), "-o", str(tmp_path / "t.csv")])
+        assert code == EXIT_DATA
+        assert "line 1: invalid CSV" in capsys.readouterr().err
 
 
 class TestReport:
@@ -194,8 +202,30 @@ class TestReport:
     def test_missing_tally_is_io_error(self, tmp_path):
         assert run(["report", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "out")]) == EXIT_IO
 
+    def test_non_utf8_tally_is_data_error(self, tmp_path, capsys):
+        tally = tmp_path / "t.csv"
+        tally.write_bytes(b"journal,supporting,disputing,mentioning,total\n\xff\xfe,1,2,3,6\n")
+        assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_oversized_tally_field_is_data_error(self, tmp_path, capsys):
+        tally = make_tally(tmp_path / "t.csv", [("alpha", 1, 2, 3), (HUGE, 1, 2, 3)])
+        assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
+        assert "line 3: invalid CSV: field larger than field limit" in capsys.readouterr().err
+
 
 class TestSynth:
+    @pytest.mark.parametrize("fmt", list(Format))
+    def test_output_equals_per_record_formatting(self, tmp_path, fmt):
+        params = SynthParams(journals=30, seed=11)
+        reference = "".join(format_record(rec, fmt) + "\n" for rec in generate_corpus(params))
+        if fmt is Format.CSV:
+            reference = ",".join(CSV_HEADER) + "\n" + reference
+        out = tmp_path / "c"
+        args = ["synth", "--journals", "30", "--seed", "11", "-f", fmt.value, "-o", str(out)]
+        assert run(args) == EXIT_OK
+        assert out.read_bytes() == reference.encode("utf-8")
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         args = ["synth", "--journals", "10", "--seed", "7"]

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import journal_keys
 
-from citemetric.errors import EmptyKeyError, MalformedLineError, UnknownClassError
+from citemetric.errors import CitemetricError, EmptyKeyError, MalformedLineError, UnknownClassError
 from citemetric.ingest import (
     MAX_REPORTED_ERRORS,
     Format,
@@ -173,3 +173,72 @@ class TestIngestStream:
 
         records, _ = ingest_stream(boom(), Format.JSONL)
         assert next(records).journal == "a"
+
+
+def _dirty_lines(fmt):
+    """Data lines that repeat raw journals, labels and failures many times
+    over: case, whitespace and ISSN check-digit variants of one journal, names
+    that normalize to the empty key, unknown or mixed-case labels, and
+    malformed lines."""
+    journals = [
+        "Nature", "nature", "  NATURE ", "na  ture", "Na\tTure",
+        "1234-567x", "1234-567X", " 1234-567x ", "",
+        "   ", "\t", "cell, reports", "Cell,  Reports",
+    ]
+    labels = ["supporting", "Supporting", "DISPUTING", "mentioning", "contrasting", "Contrasting", ""]
+    lines = []
+    for i in range(3 * len(journals) * len(labels)):
+        journal = journals[i % len(journals)]
+        label = labels[(i // len(journals)) % len(labels)]
+        lines.append(format_record(CitationRecord(f"w{i}", journal, SUP), fmt).replace("supporting", label))
+        if i % 17 == 5:
+            lines.append("garbage" if fmt is Format.JSONL else "a,b")
+    return lines
+
+
+def _parses(line, fmt):
+    try:
+        parse_record(line, fmt)
+    except CitemetricError:
+        return False
+    return True
+
+
+class TestIngestCacheEquivalence:
+    @pytest.mark.parametrize("fmt", list(Format))
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_matches_per_line_parse_record(self, fmt, policy):
+        data = _dirty_lines(fmt)
+        if policy is Policy.STRICT:
+            # Good lines first, so the strict run makes many cache hits
+            # before it stops at its first error.
+            data.sort(key=lambda line: not _parses(line, fmt))
+        header = ["citing_id,journal,class"] if fmt is Format.CSV else []
+        first = len(header) + 1
+
+        # Reference: parse_record on every line, no caches.
+        want, errors, error = [], [], None
+        for lineno, line in enumerate(data, start=first):
+            try:
+                want.append(parse_record(line, fmt))
+            except CitemetricError as exc:
+                errors.append((lineno, f"{type(exc).__name__}: {exc}"))
+                if policy is Policy.STRICT:
+                    error = type(exc), f"line {lineno}: {exc}"
+                    break
+
+        records, report = ingest_stream(header + data, fmt, policy)
+        got = []
+        if error is None:
+            got.extend(records)
+        else:
+            with pytest.raises(CitemetricError) as info:
+                got.extend(records)
+            assert (type(info.value), str(info.value)) == error
+        assert got == want
+        assert (report.accepted, report.rejected) == (len(want), len(errors))
+        assert report.first_errors == errors[:MAX_REPORTED_ERRORS]
+        assert {r.journal for r in got} == {"nature", "na ture", "1234-567X", "cell, reports"}
+        if policy is Policy.SKIP:
+            kinds = {reason.split(":")[0] for _, reason in errors}
+            assert kinds == {"MalformedLineError", "UnknownClassError", "EmptyKeyError"}
