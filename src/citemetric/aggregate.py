@@ -75,6 +75,27 @@ def merge_tables(a: TallyTable, b: TallyTable) -> TallyTable:
     return merged
 
 
+def add_counts(table: TallyTable, rows: Iterable[tuple[JournalKey, int, int, int]]) -> TallyTable:
+    """Add ``(journal, supporting, disputing, mentioning)`` rows into a table,
+    in place.
+
+    The in-place form of :func:`merge_tables` for counts that arrive as a
+    stream of rows (from another process, say): no second table is built.
+    Returns the same mapping. Raises ArithmeticOverflowError if a summed count
+    leaves the unsigned 64-bit range.
+    """
+    for key, s, d, m in rows:
+        t = table.get(key)
+        if t is not None:
+            s += t.supporting
+            d += t.disputing
+            m += t.mentioning
+            if s > U64_MAX or d > U64_MAX or m > U64_MAX:
+                raise ArithmeticOverflowError(f"count overflow for journal {key!r}")
+        table[key] = JournalTally(s, d, m)
+    return table
+
+
 def aggregate_corpus(records: Iterable[CitationRecord], shards: int = 1) -> TallyTable:
     """Tally a record stream; the result is independent of the shard count.
 
@@ -117,7 +138,10 @@ def write_tally_csv(table: TallyTable, out: IO[str]) -> None:
 
 
 def read_tally_csv(source: Iterable[str]) -> TallyTable:
-    """Parse a tally CSV back into a table, validating counts and totals."""
+    """Parse a tally CSV back into a table, validating counts and totals.
+
+    A BOM before the header is dropped, as in corpus files.
+    """
     reader = csv.reader(source)
     try:
         return _read_tally_rows(reader)
@@ -127,6 +151,8 @@ def read_tally_csv(source: Iterable[str]) -> TallyTable:
 
 def _read_tally_rows(reader: Iterator[list[str]]) -> TallyTable:
     header = tuple(next(reader, ()))
+    if header and header[0].startswith("\ufeff"):
+        header = (header[0][1:], *header[1:])
     if header != TALLY_HEADER:
         raise MalformedLineError(
             f"expected tally header {','.join(TALLY_HEADER)!r}, got {','.join(header)!r}"

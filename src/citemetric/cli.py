@@ -7,17 +7,27 @@ as the checkpoint between aggregation and reporting:
     citemetric aggregate -f jsonl corpus.jsonl -o tallies.csv
     citemetric report tallies.csv -o out/
 
+``aggregate`` takes its files in order and folds each one's newline-aligned
+byte ranges on every usable CPU, with the ingest report, errors and line
+numbers of a single pass (see :mod:`citemetric.ranges`).
+
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 data error, 3 I/O error. All outputs are deterministic for fixed inputs.
+2 data error, 3 I/O error. All outputs are deterministic for fixed inputs
+and renamed into place once complete, so a failed run leaves no partial
+file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
+import stat
 import sys
-from itertools import groupby
+from functools import partial
+from itertools import chain, groupby
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import IO, Iterator, NoReturn, Sequence
 
 from .aggregate import (
     TallyTable,
@@ -152,16 +162,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _ingest_file(path: str, fmt: Format, policy: Policy) -> tuple[TallyTable, IngestReport]:
+def _fold_range(
+    path: str, fmt: Format, policy: Policy, start: int, length: int | None
+) -> tuple[TallyTable, IngestReport]:
+    """Tally one byte range of ``path`` (see :mod:`citemetric.ranges`).
+
+    Line numbers, in the report and in ``line N:`` errors, count from the
+    range's first data line as if it were the file's: a CSV range after the
+    first is read behind a copy of the header. Invalid UTF-8 is a
+    MalformedLineError at its byte offset in the file, raised unless an
+    earlier line fails first.
+    """
+    from . import ranges
+
     try:
-        with open(path, encoding="utf-8") as fh:
-            records, report = ingest_stream(fh, fmt, policy)
-            table = aggregate_corpus(records)
+        with ranges.open_range(path, start, length) as fh:
+            lines = chain((",".join(CSV_HEADER),), fh) if start and fmt is Format.CSV else fh
+            records, report = ingest_stream(lines, fmt, policy)
+            return aggregate_corpus(records), report
     except UnicodeDecodeError as exc:
-        raise MalformedLineError(f"{path}: invalid UTF-8: {exc}") from exc
-    except CitemetricError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-    return table, report
+        bad = ranges.first_invalid_utf8(path, start, length)
+        if bad is None:  # the file changed under us
+            raise MalformedLineError(f"invalid UTF-8: {exc}") from None
+        line_start, reason = bad
+        if line_start > start:
+            _fold_range(path, fmt, policy, start, line_start - start)
+        raise MalformedLineError(f"invalid UTF-8: {reason}") from None
 
 
 def _print_report(path: str, report: IngestReport) -> None:
@@ -170,16 +196,51 @@ def _print_report(path: str, report: IngestReport) -> None:
         print(f"  {path}:{lineno}: {reason}", file=sys.stderr)
 
 
+@contextlib.contextmanager
+def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """Write UTF-8 text to a hidden file beside ``path`` and rename it over
+    ``path`` once the block completes; on failure only the hidden file goes,
+    and it goes. The result has the mode bits ``open(path, "w")`` would give
+    it. A destination that is not a regular file is written in place."""
+    target = os.path.realpath(path)
+    try:
+        info = os.stat(target)
+    except FileNotFoundError:
+        info = None
+    if info is not None and not stat.S_ISREG(info.st_mode):
+        with open(target, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline=newline)
+    except OSError as exc:  # name the destination, as open(path, "w") would
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        if info is not None:
+            os.chmod(tmp, stat.S_IMODE(info.st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _cmd_aggregate(args: argparse.Namespace) -> int:
+    from . import ranges  # here, not at the top: report and synth start faster
+
     fmt = Format(args.format)
     policy = Policy(args.policy)
     paths: list[str] = args.inputs
-    results = [_ingest_file(p, fmt, policy) for p in paths]
+    results = [ranges.fold_file(p, partial(_fold_range, p, fmt, policy)) for p in paths]
     combined: TallyTable = {}
     for path, (table, report) in zip(paths, results):
         _print_report(path, report)
         combined = merge_tables(combined, table)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_write(args.output, newline="") as fh:
         write_tally_csv(combined, fh)
     return EXIT_OK
 
@@ -204,15 +265,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "metrics.csv", "w", encoding="utf-8", newline="") as fh:
+    with _atomic_write(outdir / "metrics.csv", newline="") as fh:
         write_metrics_csv(metrics, fh)
-    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
+    with _atomic_write(outdir / "summary.json") as fh:
         write_summary_json(summaries, fh)
-    with open(outdir / "correlations.json", "w", encoding="utf-8") as fh:
+    with _atomic_write(outdir / "correlations.json") as fh:
         write_correlations_json(correlations, fh)
-    with open(outdir / "si_histogram.csv", "w", encoding="utf-8", newline="") as fh:
+    with _atomic_write(outdir / "si_histogram.csv", newline="") as fh:
         write_histogram_csv(si_histogram, fh)
-    with open(outdir / "si_scatter.csv", "w", encoding="utf-8", newline="") as fh:
+    with _atomic_write(outdir / "si_scatter.csv", newline="") as fh:
         write_scatter_csv(points, fh)
     return EXIT_OK
 

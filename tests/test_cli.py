@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import stat
+import threading
 from pathlib import Path
 
 import pytest
 
+import citemetric.cli as cli
 from citemetric.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 from citemetric.ingest import CSV_HEADER, Format, format_record
 from citemetric.synth import SynthParams, generate_corpus
@@ -186,7 +190,7 @@ class TestReport:
         tally = make_tally(tmp_path / "t2.csv", self.ROWS)
         second = tmp_path / "out2"
         assert run(["report", str(tally), "-o", str(second)]) == EXIT_OK
-        for name in ("metrics.csv", "summary.json", "correlations.json", "si_histogram.csv", "si_scatter.csv"):
+        for name in ARTIFACTS:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_corrupt_tally_is_data_error(self, tmp_path, capsys):
@@ -212,6 +216,89 @@ class TestReport:
         tally = make_tally(tmp_path / "t.csv", [("alpha", 1, 2, 3), (HUGE, 1, 2, 3)])
         assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
         assert "line 3: invalid CSV: field larger than field limit" in capsys.readouterr().err
+
+    def test_bom_before_tally_header_is_tolerated(self, tmp_path):
+        _, plain = self.run_report(tmp_path)
+        tally = tmp_path / "bom.csv"
+        tally.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "t.csv").read_bytes())
+        assert run(["report", str(tally), "-o", str(tmp_path / "bom")]) == EXIT_OK
+        for name in ARTIFACTS:
+            assert (tmp_path / "bom" / name).read_bytes() == (plain / name).read_bytes()
+
+
+ARTIFACTS = ("metrics.csv", "summary.json", "correlations.json", "si_histogram.csv", "si_scatter.csv")
+
+
+class TestAtomicWrites:
+    @staticmethod
+    def failing(real):
+        def write(data, fh):
+            real(data, fh)
+            raise OSError(28, "No space left on device")
+
+        return write
+
+    def test_failed_tally_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
+        monkeypatch.setattr(cli, "write_tally_csv", self.failing(cli.write_tally_csv))
+        assert run(["aggregate", str(src), "-o", str(tmp_path / "t.csv")]) == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    def test_failed_tally_write_keeps_the_old_tally(self, tmp_path, monkeypatch):
+        src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
+        out = tmp_path / "t.csv"
+        out.write_text("old\n")
+        monkeypatch.setattr(cli, "write_tally_csv", self.failing(cli.write_tally_csv))
+        assert run(["aggregate", str(src), "-o", str(out)]) == EXIT_IO
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "t.csv"]
+
+    def test_failed_artifact_write_leaves_no_file(self, tmp_path, monkeypatch):
+        tally = make_tally(tmp_path / "t.csv", TestReport.ROWS)
+        monkeypatch.setattr(cli, "write_histogram_csv", self.failing(cli.write_histogram_csv))
+        assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_IO
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "correlations.json",
+            "metrics.csv",
+            "summary.json",
+        ]
+
+    def test_mode_bits_are_those_of_a_plain_open(self, tmp_path):
+        src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        kept.chmod(0o640)
+        umask = os.umask(0o027)
+        try:
+            for out in (fresh, kept):
+                assert run(["aggregate", str(src), "-o", str(out)]) == EXIT_OK
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert fresh.read_bytes() == kept.read_bytes()
+
+    def test_symlink_destination_is_followed(self, tmp_path):
+        src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert run(["aggregate", str(src), "-o", str(link)]) == EXIT_OK
+        assert link.is_symlink() and target.read_text().startswith("journal,")
+
+    def test_fifo_destination_is_written_in_place(self, tmp_path):
+        src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
+        fifo = tmp_path / "tally.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        assert run(["aggregate", str(src), "-o", str(fifo)]) == EXIT_OK
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert not reader.is_alive()
+        assert received == [b"journal,supporting,disputing,mentioning,total\nalpha,1,1,0,2\nbeta,0,0,1,1\n"]
 
 
 class TestSynth:
