@@ -12,9 +12,9 @@ byte ranges on every usable CPU, with the ingest report, errors and line
 numbers of a single pass (see :mod:`citemetric.ranges`).
 
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 data error, 3 I/O error. All outputs are deterministic for fixed inputs
-and renamed into place once complete, so a failed run leaves no partial
-file.
+2 data error, 3 I/O error. All outputs, the ``synth`` corpus included, are
+deterministic for fixed inputs and renamed into place once complete, so a
+failed run leaves no partial file.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .aggregate import (
     write_tally_csv,
 )
 from .errors import CitemetricError, InvalidParamsError, MalformedLineError
-from .ingest import CSV_HEADER, Format, IngestReport, Policy, format_record, ingest_stream
+from .ingest import CSV_HEADER, Format, IngestReport, Policy, format_record, ingest_stream, read_lines
 from .metrics import build_metrics_table, write_metrics_csv
 from .model import MetricsConfig
 from .stats import (
@@ -173,21 +173,10 @@ def _fold_range(
     MalformedLineError at its byte offset in the file, raised unless an
     earlier line fails first.
     """
-    from . import ranges
-
-    try:
-        with ranges.open_range(path, start, length) as fh:
-            lines = chain((",".join(CSV_HEADER),), fh) if start and fmt is Format.CSV else fh
-            records, report = ingest_stream(lines, fmt, policy)
-            return aggregate_corpus(records), report
-    except UnicodeDecodeError as exc:
-        bad = ranges.first_invalid_utf8(path, start, length)
-        if bad is None:  # the file changed under us
-            raise MalformedLineError(f"invalid UTF-8: {exc}") from None
-        line_start, reason = bad
-        if line_start > start:
-            _fold_range(path, fmt, policy, start, line_start - start)
-        raise MalformedLineError(f"invalid UTF-8: {reason}") from None
+    lines = read_lines(path, start, length)
+    lines = chain((",".join(CSV_HEADER),), lines) if start and fmt is Format.CSV else lines
+    records, report = ingest_stream(lines, fmt, policy)
+    return aggregate_corpus(records), report
 
 
 def _print_report(path: str, report: IngestReport) -> None:
@@ -247,10 +236,9 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        with open(args.tally, encoding="utf-8") as fh:
-            table = read_tally_csv(fh)
-    except UnicodeDecodeError as exc:
-        raise MalformedLineError(f"{args.tally}: invalid UTF-8: {exc}") from exc
+        table = read_tally_csv(read_lines(args.tally))
+    except MalformedLineError as exc:
+        raise MalformedLineError(f"{args.tally}: {exc}") from None
     config = MetricsConfig(args.min_citations, args.min_classified)
     metrics = build_metrics_table(table, config)
     eligible_si = [m.scite_index for m in metrics if m.eligible]
@@ -291,7 +279,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         raise InvalidParamsError("--journals is required unless --preset paper is given")
     params = SynthParams(**kwargs)
     fmt = Format(args.format)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_write(args.output, newline="") as fh:
         if fmt is Format.CSV:
             fh.write(",".join(CSV_HEADER) + "\n")
         # Runs of identical records are common (the generator emits each

@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import CitemetricError, MalformedLineError, UnknownClassError
@@ -25,7 +27,21 @@ MAX_REPORTED_ERRORS = 20
 
 _CLASS_BY_LABEL = {c.value: c for c in CitationClass}
 
+#: Bytes read per block; each block is decoded up to its last newline.
+_BLOCK_BYTES = 1 << 14
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A decoded JSON object, unless it repeats a key (last-wins would hide it)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise MalformedLineError(f"duplicate key {key!r}")
+    return obj
+
+
 _decode_json = json.JSONDecoder().decode
+_decode_json_unique = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
 
 
 class Format(Enum):
@@ -53,6 +69,51 @@ class IngestReport:
     first_errors: list[tuple[int, str]] = field(default_factory=list)
 
 
+def read_lines(path: str, start: int = 0, length: int | None = None) -> Iterator[str]:
+    """Yield the lines, ends included, of ``length`` bytes of ``path`` from
+    ``start`` (to EOF if None): for a whole file, those text-mode
+    ``open(path, encoding="utf-8")`` yields. The bytes are read once, pipes
+    included, in blocks cut after their last ``\\n`` (no character or
+    ``\\r\\n`` pair is split), and no Python frame runs per line.
+
+    Raises:
+        MalformedLineError: invalid UTF-8, named at its offset in the file,
+            after the lines before its ``\\n``-terminated line are yielded.
+    """
+    return chain.from_iterable(_blocks(path, start, length))
+
+
+def _blocks(path: str, start: int, length: int | None) -> Iterator[Iterator[str]]:
+    with open(path, "rb", buffering=0) as fh:
+        if start:
+            fh.seek(start)
+        left = float("inf") if length is None else length
+        offset, head = start, []  # head: the bytes read since the last newline, from offset on
+        while left > 0 and (block := fh.read(min(_BLOCK_BYTES, left))):
+            left -= len(block)
+            cut = block.rfind(b"\n") + 1
+            if cut:
+                data = b"".join((*head, block[:cut]))
+                yield from _decode(data, offset)
+                offset, head, block = offset + len(data), [], block[cut:]
+            head.append(block)
+        yield from _decode(b"".join(head), offset)
+
+
+def _decode(data: bytes, offset: int) -> Iterator[Iterator[str]]:
+    """The lines of ``data``, which starts at byte ``offset`` of its file, in StringIOs."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        good = data[: data.rfind(b"\n", 0, exc.start) + 1]
+        yield io.StringIO(good.decode("utf-8"), newline=None)
+        first, last = offset + exc.start, offset + exc.end - 1
+        one = f"byte 0x{data[exc.start]:02x} in position {first}"
+        where = one if first == last else f"bytes in position {first}-{last}"
+        raise MalformedLineError(f"invalid UTF-8: 'utf-8' codec can't decode {where}: {exc.reason}") from None
+    yield io.StringIO(text, newline=None)
+
+
 def _csv_row(line: str) -> list[str]:
     try:
         return next(csv.reader((line,)), [])
@@ -64,8 +125,8 @@ def _fields(line: str, fmt: Format) -> tuple[str, str, str]:
     """Split one data line into its raw ``(citing_id, journal, label)``.
 
     Raises:
-        MalformedLineError: wrong field count, invalid CSV or JSON, or a
-            non-string field.
+        MalformedLineError: wrong field count, invalid CSV or JSON, a JSON
+            object that repeats a key, or a non-string field.
     """
     if fmt is Format.JSONL:
         try:
@@ -74,6 +135,10 @@ def _fields(line: str, fmt: Format) -> tuple[str, str, str]:
             raise MalformedLineError(f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise MalformedLineError("JSONL line is not an object")
+        # Each key-value pair has a ':', so a line with no more ':' than the
+        # object kept keys repeats none; only the other lines pay for a check.
+        if line.count(":") > len(obj):
+            _decode_json_unique(line)
         try:
             journal = obj["journal"]
             label = obj["class"]

@@ -1,8 +1,9 @@
 """Newline-aligned byte ranges of corpus files, folded in forked workers.
 
 A file is cut into at most one range per usable CPU, each at least
-``MIN_RANGE_BYTES`` long. Cuts fall right after a ``\\n``, so the lines a text
-reader yields per range, concatenated, are the lines of the whole file (a
+``MIN_RANGE_BYTES`` long, and each range is read through
+:func:`citemetric.ingest.read_lines`. Cuts fall right after a ``\\n``, so the
+lines read per range, concatenated, are the lines of the whole file (a
 ``\\r\\n`` pair is never split and a bare ``\\r`` stays inside its range). A cut
 never lands before a line that starts with a byte order mark, which only a
 file's first line may carry.
@@ -19,7 +20,6 @@ table in place, and the ranges' reports and errors are taken in file order.
 from __future__ import annotations
 
 import contextlib
-import io
 import marshal
 import os
 import re
@@ -83,60 +83,6 @@ def plan_ranges(path: str, parts: int) -> list[Range]:
                 break
             cuts.append(cut)
     return [(a, b - a) for a, b in zip(cuts, cuts[1:])] + [(cuts[-1], None)]
-
-
-class _Slice(io.RawIOBase):
-    """The next ``left`` bytes of an unbuffered binary file."""
-
-    def __init__(self, raw: io.RawIOBase, left: int) -> None:
-        self._raw, self._left = raw, left
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        n = self._raw.readinto(memoryview(buf)[: min(len(buf), self._left)]) if self._left else 0
-        self._left -= n
-        return n
-
-    def close(self) -> None:
-        self._raw.close()
-        super().close()
-
-
-def open_range(path: str, start: int, length: int | None) -> io.TextIOWrapper:
-    """The range as UTF-8 text with universal newlines, as ``open`` reads files."""
-    raw = open(path, "rb", buffering=0)
-    if start:
-        raw.seek(start)
-    if length is not None:
-        raw = _Slice(raw, length)
-    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
-
-
-def first_invalid_utf8(path: str, start: int, length: int | None) -> tuple[int, str] | None:
-    """Offset of the first ``\\n``-terminated line in the range that is not
-    UTF-8, and the decoder's complaint with positions counted from the start
-    of the file; None if there is none."""
-    end = None if length is None else start + length
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        offset = start
-        for line in fh:
-            if end is not None and offset >= end:
-                break
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                first, last = offset + exc.start, offset + exc.end - 1
-                where = (
-                    f"byte 0x{line[exc.start]:02x} in position {first}"
-                    if first == last
-                    else f"bytes in position {first}-{last}"
-                )
-                return offset, f"'utf-8' codec can't decode {where}: {exc.reason}"
-            offset += len(line)
-    return None
 
 
 def _send(obj: object, out: IO[bytes]) -> None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from citemetric.errors import MalformedLineError
 from citemetric.model import CitationClass, CitationRecord, JournalTally
 
 CLASSES = tuple(CitationClass)
@@ -49,6 +50,17 @@ def make_records(rnd: random.Random, n: int, journals: int = 40) -> list[Citatio
         CitationRecord(f"w{i}", f"j{rnd.randrange(journals):03d}", rnd.choice(CLASSES))
         for i in range(n)
     ]
+
+
+def lines_and_error(lines) -> tuple[list[str], str | None]:
+    """The lines an iterator yields, and the MalformedLineError that stops it."""
+    got = []
+    try:
+        for line in lines:
+            got.append(line)
+    except MalformedLineError as exc:
+        return got, str(exc)
+    return got, None
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

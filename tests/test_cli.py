@@ -1,11 +1,23 @@
+import contextlib
 import csv
+import errno
+import fcntl
+import io
 import json
 import os
 import stat
+import struct
+import subprocess
+import sys
+import tempfile
+import termios
 import threading
+from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import citemetric.cli as cli
 from citemetric.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, run
@@ -212,6 +224,22 @@ class TestReport:
         assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_tally_errors_name_the_tally(self, tmp_path, capsys):
+        bad = write_lines(tmp_path / "t.csv", ["journal,supporting,disputing,mentioning,total", "a,1,2,3,99"])
+        assert run(["report", str(bad), "-o", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"citemetric: error: {bad}: row 2: total 99 != 6\n"
+
+    def test_invalid_utf8_in_tally_is_named_at_its_file_offset(self, tmp_path, capsys):
+        tally = make_tally(tmp_path / "t.csv", [(f"j{i:05d}", 1, 2, 3) for i in range(1500)])
+        body = tally.read_bytes()
+        assert len(body) > 16384  # past the first 8 KiB and the first read block
+        tally.write_bytes(body + b"\xff,1,2,3,6\n")
+        assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"citemetric: error: {tally}: invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            f"in position {len(body)}: invalid start byte\n"
+        )
+
     def test_oversized_tally_field_is_data_error(self, tmp_path, capsys):
         tally = make_tally(tmp_path / "t.csv", [("alpha", 1, 2, 3), (HUGE, 1, 2, 3)])
         assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
@@ -301,7 +329,122 @@ class TestAtomicWrites:
         assert received == [b"journal,supporting,disputing,mentioning,total\nalpha,1,1,0,2\nbeta,0,0,1,1\n"]
 
 
+class TestPipedInput:
+    """Invalid UTF-8 read from a pipe or FIFO, which can be read only once,
+    is a data error named at its offset in the stream."""
+
+    BODY = (GOOD_LINES[0] + "\n").encode() * 500
+    DATA = BODY + b'{"journal":"\xff"}\n'
+    OFFSET = len(BODY) + len('{"journal":"')
+
+    def message(self, path) -> str:
+        return (
+            f"citemetric: error: {path}: invalid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            f"in position {self.OFFSET}: invalid start byte\n"
+        )
+
+    def test_pipe(self, tmp_path, capsys):
+        read_fd, write_fd = os.pipe()
+        try:
+            os.write(write_fd, self.DATA)  # fits the pipe's buffer
+            os.close(write_fd)
+            path = f"/dev/fd/{read_fd}"
+            assert run(["aggregate", path, "-o", str(tmp_path / "t.csv")]) == EXIT_DATA
+        finally:
+            os.close(read_fd)
+        assert capsys.readouterr().err == self.message(path)
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_named_fifo(self, tmp_path):
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+        done = threading.Event()
+
+        def feed():
+            # Opened read-write, the FIFO never blocks this open and keeps its
+            # buffer while aggregate opens and closes it; it is closed once
+            # aggregate has read everything, or has exited.
+            fd = os.open(fifo, os.O_RDWR)
+            try:
+                os.write(fd, self.DATA)
+                while struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]:
+                    if done.wait(0.01):
+                        break
+            finally:
+                os.close(fd)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys; from citemetric.cli import run; sys.exit(run(sys.argv[1:]))"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "aggregate", str(fifo), "-o", str(tmp_path / "t.csv")],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+        finally:
+            done.set()
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (proc.returncode, proc.stderr) == (EXIT_DATA, self.message(fifo))
+
+
+class TestArbitraryInput:
+    """Any bytes, fields over the csv module's 131072-char limit included,
+    give an exit code of the contract and never a traceback."""
+
+    PIECES = [
+        b"\n", b"\r\n", b"\r", b",", b'"', b"\xef\xbb\xbf", b"\xff", b"\xe2\x82",
+        b"citing_id,journal,class\n", b"journal,supporting,disputing,mentioning,total\n",
+        b"w1,alpha,supporting", b"alpha,1,2,3,6", b"1,2,3", b"-1", b"99999999999999999999999",
+        b'{"journal":"a","class":"supporting"}', b'{"journal":"a","class":"supporting","journal":"b"}',
+        b'{"journal":', b"[]", b"null", HUGE.encode(), b'"' + HUGE.encode() + b'"',
+        b'{"journal":"' + HUGE.encode() + b'","class":"supporting"}',
+    ]
+    inputs = st.lists(st.one_of(st.binary(max_size=24), st.sampled_from(PIECES)), max_size=16).map(b"".join)
+
+    @staticmethod
+    def run_captured(args) -> tuple[int, str]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(args)
+        return code, err.getvalue()
+
+    @given(data=inputs)
+    @settings(max_examples=60, deadline=None)
+    def test_exit_code_in_contract_without_traceback(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "in"
+            src.write_bytes(data)
+            runs = [
+                ["aggregate", "-f", fmt, "--policy", policy, str(src), "-o", str(Path(tmp) / "t.csv")]
+                for fmt in ("csv", "jsonl")
+                for policy in ("strict", "skip")
+            ]
+            runs.append(["report", str(src), "-o", str(Path(tmp) / "out")])
+            for args in runs:
+                code, err = self.run_captured(args)
+                assert code in (EXIT_OK, EXIT_DATA, EXIT_IO), (args, err)
+                assert "Traceback" not in err
+
+
 class TestSynth:
+    def test_failed_synth_keeps_the_old_corpus(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "c.jsonl"
+        out.write_bytes(b"old corpus\n")
+        real = cli.generate_corpus
+
+        def failing(params):
+            yield from islice(real(params), 5000)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "generate_corpus", failing)
+        assert run(["synth", "--journals", "40", "--seed", "1", "-o", str(out)]) == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == b"old corpus\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
     @pytest.mark.parametrize("fmt", list(Format))
     def test_output_equals_per_record_formatting(self, tmp_path, fmt):
         params = SynthParams(journals=30, seed=11)

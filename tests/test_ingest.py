@@ -1,9 +1,14 @@
+import io
+import re
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import journal_keys
+from conftest import journal_keys, lines_and_error
 
+from citemetric import ingest
 from citemetric.errors import CitemetricError, EmptyKeyError, MalformedLineError, UnknownClassError
 from citemetric.ingest import (
     MAX_REPORTED_ERRORS,
@@ -12,6 +17,7 @@ from citemetric.ingest import (
     format_record,
     ingest_stream,
     parse_record,
+    read_lines,
 )
 from citemetric.model import CitationClass, CitationRecord
 
@@ -55,11 +61,17 @@ class TestParseRecord:
             '{"journal":5,"class":"supporting"}',
             '{"journal":"n","class":7}',
             '{"journal":"n","class":"supporting","citing_id":3}',
+            '{"journal":"a","class":"supporting","journal":"b"}',
+            '{"journal":"a: b","class":"supporting","x":{"k":1,"k":2}}',
         ],
     )
     def test_jsonl_malformed(self, line):
         with pytest.raises(MalformedLineError):
             parse_record(line, Format.JSONL)
+
+    def test_jsonl_colons_in_values(self):
+        rec = parse_record('{"citing_id":"doi:1","journal":"Nature: Reviews","class":"supporting"}', Format.JSONL)
+        assert rec == CitationRecord("doi:1", "nature: reviews", SUP)
 
     def test_unknown_class(self):
         with pytest.raises(UnknownClassError):
@@ -166,6 +178,17 @@ class TestIngestStream:
         with pytest.raises(MalformedLineError, match="line 2"):
             list(records)
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_duplicate_jsonl_key_is_a_malformed_line(self, policy):
+        lines = ['{"journal":"a","class":"supporting"}', '{"journal":"a","class":"supporting","journal":"b"}']
+        records, report = ingest_stream(lines, Format.JSONL, policy)
+        if policy is Policy.STRICT:
+            with pytest.raises(MalformedLineError, match=r"^line 2: duplicate key 'journal'$"):
+                list(records)
+        else:
+            assert [r.journal for r in records] == ["a"]
+        assert report.first_errors == [(2, "MalformedLineError: duplicate key 'journal'")]
+
     def test_stream_is_lazy(self):
         def boom():
             yield '{"journal":"a","class":"supporting"}'
@@ -193,6 +216,8 @@ def _dirty_lines(fmt):
         lines.append(format_record(CitationRecord(f"w{i}", journal, SUP), fmt).replace("supporting", label))
         if i % 17 == 5:
             lines.append("garbage" if fmt is Format.JSONL else "a,b")
+        if i % 23 == 7 and fmt is Format.JSONL:
+            lines.append('{"journal":"nature","class":"supporting","journal":"cell"}')
     return lines
 
 
@@ -242,3 +267,48 @@ class TestIngestCacheEquivalence:
         if policy is Policy.SKIP:
             kinds = {reason.split(":")[0] for _, reason in errors}
             assert kinds == {"MalformedLineError", "UnknownClassError", "EmptyKeyError"}
+
+
+# --- read_lines -------------------------------------------------------------
+
+_byte_pieces = st.sampled_from(
+    [b"a", b"bc", b"\n", b"\r", b"\r\n", "\ufeff".encode(), "\u00e9".encode(), "\u20ac".encode(),
+     "\U0001f600".encode(), b"\xff", b"\xe2\x82", b"\xed\xa0\x80", b"\xc3"]
+)
+_block_sizes = st.one_of(st.integers(1, 7), st.just(ingest._BLOCK_BYTES))
+
+
+@given(data=st.lists(_byte_pieces, max_size=60).map(b"".join), block=_block_sizes)
+@settings(max_examples=600, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_lines_matches_text_mode_open(tmp_path, data, block):
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        got, error = lines_and_error(read_lines(str(path)))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            want = list(fh)
+    except UnicodeDecodeError:
+        offset = 0
+        for line in io.BytesIO(data):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = offset + exc.start
+                break
+            offset += len(line)
+        path.write_bytes(data[:offset])
+        with open(path, encoding="utf-8") as fh:
+            assert got == list(fh)
+        assert error is not None and error.startswith("invalid UTF-8: 'utf-8' codec can't decode ")
+        assert int(re.search(r" in position (\d+)", error)[1]) == bad
+    else:
+        assert (got, error) == (want, None)
+
+
+def test_read_lines_reads_a_byte_range(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"one\ntwo\r\nthree\rfour\n")
+    assert list(read_lines(str(path), 4, 5)) == ["two\n"]
+    assert list(read_lines(str(path), 9)) == ["three\n", "four\n"]
+    assert list(read_lines(str(path), 4, 0)) == []

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import lines_and_error
+
 import citemetric.cli as cli
-from citemetric import ranges
+from citemetric import ingest, ranges
 from citemetric.cli import EXIT_DATA, EXIT_IO, EXIT_OK, run
 
 BOM = "\ufeff"
@@ -78,6 +80,27 @@ def test_plan_cuts_after_newlines_and_never_before_a_bom(tmp_path, data, parts, 
         assert 0 < cut < len(data)
         assert data[cut - 1 : cut] == b"\n"
         assert not data[cut:].startswith(BOM.encode())
+
+
+@given(
+    data=_chunks.map(b"".join),
+    parts=st.integers(1, 8),
+    min_bytes=st.integers(1, 16),
+    block=st.one_of(st.integers(1, 7), st.just(ingest._BLOCK_BYTES)),
+)
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_range_lines_concatenate_to_the_file_lines(tmp_path, data, parts, min_bytes, block):
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    with mock.patch.object(ranges, "MIN_RANGE_BYTES", min_bytes), mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        want = lines_and_error(ingest.read_lines(str(path)))
+        got, error = [], None
+        for start, length in ranges.plan_ranges(str(path), parts):
+            lines, error = lines_and_error(ingest.read_lines(str(path), start, length))
+            got += lines
+            if error:
+                break
+    assert (got, error) == want
 
 
 def test_small_file_is_one_range(tmp_path):
