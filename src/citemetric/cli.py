@@ -12,7 +12,8 @@ byte ranges on every usable CPU, with the ingest report, errors and line
 numbers of a single pass (see :mod:`citemetric.ranges`).
 
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 data error, 3 I/O error. All outputs, the ``synth`` corpus included, are
+2 data error, 3 I/O error (a stderr that cannot be written included),
+130 interrupted. All outputs, the ``synth`` corpus included, are
 deterministic for fixed inputs and renamed into place once complete, so a
 failed run leaves no partial file.
 """
@@ -57,6 +58,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
+#: 128 + SIGINT, what a shell reports for a command stopped by Ctrl-C.
+EXIT_INTERRUPTED = 130
 
 PROG = "citemetric"
 
@@ -294,6 +297,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _say(message: str) -> None:
+    """Print ``citemetric: message`` to stderr. A stderr that cannot be
+    written loses the line but raises nothing, so the exit code still says
+    what failed."""
+    with contextlib.suppress(OSError, ValueError):
+        print(f"{PROG}: {message}", file=sys.stderr, flush=True)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv`` (default: ``sys.argv[1:]``), run a command, return the
     exit code. Never raises on expected failures; see module docstring for
@@ -306,14 +317,17 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except InvalidParamsError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_USAGE
     except CitemetricError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_DATA
     except OSError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_IO
+    except KeyboardInterrupt:
+        _say("interrupted")
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import CitemetricError, MalformedLineError, UnknownClassError
@@ -29,6 +30,9 @@ _CLASS_BY_LABEL = {c.value: c for c in CitationClass}
 
 #: Bytes read per block; each block is decoded up to its last newline.
 _BLOCK_BYTES = 1 << 14
+
+#: Lines ingest_stream reads ahead and parses together.
+_BATCH_LINES = 256
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -164,6 +168,96 @@ def _class_of(label: str) -> CitationClass:
     return klass
 
 
+def _key_of(journal: str) -> str:
+    key = normalize_journal_key(journal)
+    return journal if key == journal else key  # share the raw string when it is already normalized
+
+
+def _check_header(line: str) -> None:
+    try:
+        header = tuple(_csv_row(line))
+    except MalformedLineError as exc:
+        raise MalformedLineError(f"line 1: {exc}") from None
+    if header != CSV_HEADER:
+        raise MalformedLineError(f"line 1: expected CSV header {','.join(CSV_HEADER)!r}, got {line!r}")
+
+
+#: Stands in for a CSV row of the wrong length: its empty label never
+#: resolves, so the row goes to the per-line parser, which words the error.
+_NO_ROW = ("", "", "")
+
+
+def _csv_columns(lines: list[str]) -> tuple[tuple[str, ...], ...] | None:
+    """The ``(citing_id, journal, class)`` columns of the CSV ``lines``, with
+    ``_NO_ROW`` for a row of the wrong length; None when csv fails on a line
+    or a quoted field runs on into the next line."""
+    try:
+        rows = list(csv.reader(lines))
+    except csv.Error:
+        return None
+    if len(rows) != len(lines):
+        return None
+    if list(map(len, rows)).count(len(CSV_HEADER)) != len(rows):
+        rows = [row if len(row) == len(CSV_HEADER) else _NO_ROW for row in rows]
+    return tuple(zip(*rows))
+
+
+def _jsonl_columns(lines: list[str]) -> tuple[list[str], list[str], list[str]] | None:
+    """The ``(citing_id, journal, class)`` columns of the JSONL ``lines``,
+    decoded as one JSON array; None unless :func:`_fields` would accept each
+    line with the same values.
+
+    Each line must start with the only ``{`` it holds, and the array must
+    have as many elements as there are lines, each an object. Then no object
+    nests or spans lines, so each line is exactly one object and what the
+    separators add is whitespace. Every key-value pair has a ``:``, so as
+    many ``:`` as kept keys, summed, means no object repeats a key; only a
+    batch with more, say a ``:`` in a value, is decoded again to check.
+    """
+    text = ",".join(lines)
+    if text.count("{") != len(lines) or not all(map(str.startswith, lines, repeat("{"))):
+        return None
+    try:
+        objs = _decode_json(f"[{text}]")
+    except (ValueError, RecursionError):
+        return None
+    if len(objs) != len(lines) or not all(map(isinstance, objs, repeat(dict))):
+        return None
+    if text.count(":") != sum(map(len, objs)):
+        try:
+            _decode_json_unique(f"[{text}]")
+        except MalformedLineError:
+            return None
+    try:
+        journals = list(map(itemgetter("journal"), objs))
+        labels = list(map(itemgetter("class"), objs))
+    except KeyError:
+        return None
+    ids = list(map(dict.get, objs, repeat("citing_id"), repeat("")))
+    if not all(map(isinstance, chain(ids, journals, labels), repeat(str))):
+        return None
+    return ids, journals, labels
+
+
+_COLUMNS = {Format.CSV: _csv_columns, Format.JSONL: _jsonl_columns}
+
+
+def _lookup(cache: dict, raws, resolve) -> list:
+    """``cache[raw]`` for each of ``raws``, None where ``resolve`` fails.
+    Each raw value missing from the cache is resolved once, and kept only if
+    that succeeds."""
+    try:
+        return list(map(cache.__getitem__, raws))
+    except KeyError:
+        pass
+    for raw in set(raws).difference(cache):
+        try:
+            cache[raw] = resolve(raw)
+        except CitemetricError:
+            pass
+    return list(map(cache.get, raws))
+
+
 def parse_record(line: str, fmt: Format) -> CitationRecord:
     """Parse one data line into a record with a normalized journal key.
 
@@ -211,40 +305,33 @@ def ingest_stream(
     """Turn a line stream into a lazy record stream plus an ingest report.
 
     Record order matches line order. Under STRICT the first parse error is
-    re-raised annotated with its 1-based line number; under SKIP bad lines are
-    counted and the stream continues. In CSV format line 1 must be the exact
-    header ``citing_id,journal,class``; a bad or missing header raises under
-    either policy since the whole file is then suspect. The returned report is
-    shared with the generator and is complete only after the stream has been
-    fully consumed.
+    re-raised annotated with its 1-based line number and ends the stream;
+    under SKIP bad lines are counted and the stream continues. In CSV format
+    line 1 must be the exact header ``citing_id,journal,class``; a bad or
+    missing header raises under either policy since the whole file is then
+    suspect. The returned report is shared with the generator and is complete
+    only after the stream has been fully consumed.
+
+    Lines are read ahead from ``source`` in batches of a few hundred, and a
+    batch whose lines all parse is turned into records without a Python step
+    per line. Errors still surface in line order: the records of the lines
+    before a bad line, or before an exception raised by ``source`` itself,
+    come out first.
     """
     report = IngestReport()
+    # Per-stream caches of successful lookups only: a failing label or
+    # journal raises again on every line that carries it, so error counts
+    # and line numbers match a plain per-line parse_record.
+    classes: dict[str, CitationClass] = {}
+    keys: dict[str, str] = {}
+    columns = _COLUMNS.get(fmt)
 
-    def records() -> Iterator[CitationRecord]:
-        # Per-stream caches of successful lookups only: a failing label or
-        # journal raises again on every line that carries it, so error counts
-        # and line numbers match a plain per-line parse_record.
-        classes: dict[str, CitationClass] = {}
-        keys: dict[str, str] = {}
+    def per_line(lines: list[str], lineno: int) -> Iterator[CitationRecord]:
+        """Parse ``lines``, the first of which is line ``lineno + 1``, one at
+        a time; the only code that words an error."""
         fields, new_record = _fields, tuple.__new__
-        need_header = fmt is Format.CSV
-        lineno = 0
-        for raw in source:
+        for line in lines:
             lineno += 1
-            line = raw.rstrip("\r\n")
-            if lineno == 1 and line.startswith("\ufeff"):
-                line = line[1:]
-            if need_header:
-                try:
-                    header = tuple(_csv_row(line))
-                except MalformedLineError as exc:
-                    raise MalformedLineError(f"line 1: {exc}") from None
-                if header != CSV_HEADER:
-                    raise MalformedLineError(
-                        f"line 1: expected CSV header {','.join(CSV_HEADER)!r}, got {line!r}"
-                    )
-                need_header = False
-                continue
             try:
                 citing_id, journal, label = fields(line, fmt)
                 klass = classes.get(label)
@@ -252,9 +339,7 @@ def ingest_stream(
                     klass = classes[label] = _class_of(label)
                 key = keys.get(journal)
                 if key is None:
-                    key = normalize_journal_key(journal)
-                    # Share the raw string when it is already normalized.
-                    key = keys[journal] = journal if key == journal else key
+                    key = keys[journal] = _key_of(journal)
             except CitemetricError as exc:
                 report.rejected += 1
                 if len(report.first_errors) < MAX_REPORTED_ERRORS:
@@ -264,7 +349,55 @@ def ingest_stream(
                 continue
             report.accepted += 1
             yield new_record(CitationRecord, (citing_id, key, klass))
-        if need_header:
+
+    def runs(lines: list[str], lineno: int) -> Iterator[Iterator[CitationRecord]]:
+        """The records of ``lines`` as runs of accepted rows, each built by
+        C-level maps, and per_line parses of the lines between them."""
+        cols = columns(lines) if columns and lines else None
+        if cols is None:
+            yield per_line(lines, lineno)
+            return
+        ids, journals, labels = cols
+        klasses = _lookup(classes, labels, _class_of)
+        found = _lookup(keys, journals, _key_of)
+        bad = [i for i, (key, klass) in enumerate(zip(found, klasses)) if key is None or klass is None]
+        start = 0
+        for end in (*bad, len(lines)):
+            if start < end:
+                report.accepted += end - start
+                rows = zip(ids[start:end], found[start:end], klasses[start:end])
+                yield map(tuple.__new__, repeat(CitationRecord), rows)
+            if end < len(lines):
+                yield per_line(lines[end : end + 1], lineno + end)
+            start = end + 1
+
+    def batches() -> Iterator[Iterator[CitationRecord]]:
+        source_lines = iter(source)
+        lineno = 0
+        while True:
+            batch: list[str] = []
+            error = None
+            try:
+                # extend, unlike list(), keeps the lines taken before a failure
+                batch.extend(islice(source_lines, _BATCH_LINES))
+            except Exception as exc:  # re-raised once those lines are through
+                error = exc
+            lines = list(map(str.rstrip, batch, repeat("\r\n")))
+            if lineno == 0 and lines:
+                lines[0] = lines[0].removeprefix("\ufeff")
+                if fmt is Format.CSV:
+                    _check_header(lines.pop(0))
+                    lineno = 1
+            for run in runs(lines, lineno):
+                yield run
+                if policy is Policy.STRICT and report.rejected:
+                    return
+            lineno += len(lines)
+            if error is not None:
+                raise error
+            if len(batch) < _BATCH_LINES:
+                break
+        if fmt is Format.CSV and lineno == 0:
             raise MalformedLineError("line 1: missing CSV header")
 
-    return records(), report
+    return chain.from_iterable(batches()), report

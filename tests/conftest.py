@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
 import sys
 from pathlib import Path
@@ -28,6 +31,38 @@ tallies = st.builds(
 )
 
 tally_tables = st.dictionaries(journal_keys, tallies, max_size=8)
+
+
+BOM = "\ufeff"
+
+_JOURNALS = ["Nature", " nature ", "NA  TURE", "1234-567x", 'Cell, "Reports"', "cell,  reports"]
+_LABELS = ["supporting", "Disputing", "MENTIONING"]
+
+#: Kinds of corpus line dirty_line builds.
+LINE_KINDS = ("good", "malformed", "unknown_class", "empty_key", "interior_bom", "blank")
+#: A kind of line, good ones four times as likely.
+line_kinds = st.sampled_from(["good"] * 3 + list(LINE_KINDS))
+
+
+def dirty_line(kind: str, i: int, fmt: str) -> str:
+    """Data line ``i`` of a corpus in format ``fmt`` ("csv" or "jsonl"), of
+    the given kind (see line_kinds), without a line end."""
+    journal, label = _JOURNALS[i % len(_JOURNALS)], _LABELS[i % len(_LABELS)]
+    if kind == "unknown_class":
+        label = "contrasting"
+    elif kind == "empty_key":
+        journal = "  \t "
+    elif kind == "malformed":
+        return "garbage" if fmt == "jsonl" else "a,b"
+    elif kind == "blank":
+        return ""
+    if fmt == "jsonl":
+        line = json.dumps({"citing_id": f"w{i}", "journal": journal, "class": label})
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow((f"w{i}", journal, label))
+        line = buf.getvalue()
+    return BOM + line if kind == "interior_bom" else line
 
 
 @pytest.fixture

@@ -154,6 +154,51 @@ class TestAggregate:
         assert "line 1: invalid CSV" in capsys.readouterr().err
 
 
+class TestUnwritableStderr:
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def test_unwritable_stderr_is_io_error(self, tmp_path, monkeypatch):
+        src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
+        monkeypatch.setattr(sys, "stderr", self.Full())
+        assert run(["aggregate", str(src), "-o", str(tmp_path / "t.csv")]) == EXIT_IO
+        # The error print fails too; the first error still sets the code.
+        bad = write_lines(tmp_path / "bad.jsonl", ["garbage"])
+        assert run(["aggregate", str(bad), "-o", str(tmp_path / "t.csv")]) == EXIT_DATA
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "in.jsonl"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stderr_on_a_full_device_exits_3(self, tmp_path):
+        src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "citemetric.cli", "aggregate", str(src), "-o", str(tmp_path / "t.csv")],
+                stderr=full, timeout=60,
+            )
+        assert proc.returncode == EXIT_IO
+
+
+def test_aggregate_calls_ingest_and_fold_through_the_cli_namespace(tmp_path, monkeypatch):
+    # bench/tracing.py times aggregate by wrapping these two names in cli.
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("ingest_stream", "aggregate_corpus"):
+        monkeypatch.setattr(cli, name, spy(name))
+    src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
+    assert run(["aggregate", str(src), "-o", str(tmp_path / "t.csv")]) == EXIT_OK
+    assert calls == ["ingest_stream", "aggregate_corpus"]
+
+
 class TestReport:
     ROWS = [
         ("alpha", 150, 50, 0),

@@ -1,14 +1,16 @@
 import io
 import re
+from functools import reduce
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import journal_keys, lines_and_error
+from conftest import BOM, LINE_KINDS, dirty_line, journal_keys, lines_and_error
 
 from citemetric import ingest
+from citemetric.aggregate import add_record, aggregate_corpus
 from citemetric.errors import CitemetricError, EmptyKeyError, MalformedLineError, UnknownClassError
 from citemetric.ingest import (
     MAX_REPORTED_ERRORS,
@@ -267,6 +269,157 @@ class TestIngestCacheEquivalence:
         if policy is Policy.SKIP:
             kinds = {reason.split(":")[0] for _, reason in errors}
             assert kinds == {"MalformedLineError", "UnknownClassError", "EmptyKeyError"}
+
+
+# --- batched ingest_stream against a per-line reference ------------------------
+
+_HEADER = "citing_id,journal,class"
+_J = '{"journal":"a","class":"supporting"}'
+_READ_ERROR = "invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"
+
+
+def per_line_reference(source, fmt, policy):
+    """What ``ingest_stream`` yields and reports on ``source``, one
+    ``parse_record`` per line: (records, (accepted, rejected, first_errors),
+    (error type, message) or None). CSV sources start with the header."""
+    records, rejected, first_errors, error = [], 0, [], None
+    try:
+        for lineno, raw in enumerate(source, start=1):
+            line = raw.rstrip("\r\n")
+            if lineno == 1:
+                line = line.removeprefix(BOM)
+                if fmt is Format.CSV:
+                    assert line == _HEADER
+                    continue
+            try:
+                records.append(parse_record(line, fmt))
+            except CitemetricError as exc:
+                rejected += 1
+                if len(first_errors) < MAX_REPORTED_ERRORS:
+                    first_errors.append((lineno, f"{type(exc).__name__}: {exc}"))
+                if policy is Policy.STRICT:
+                    error = type(exc), f"line {lineno}: {exc}"
+                    break
+    except MalformedLineError as exc:  # raised by the source itself
+        error = MalformedLineError, str(exc)
+    return records, (len(records), rejected, first_errors), error
+
+
+def _source(lines, fail_at):
+    """Yield ``lines``, then, from position ``fail_at`` on, raise the error
+    ``read_lines`` raises on invalid UTF-8."""
+    for i, line in enumerate(lines):
+        if i == fail_at:
+            break
+        yield line
+    if fail_at is not None:
+        raise MalformedLineError(_READ_ERROR)
+
+
+def assert_batched_equals_per_line(lines, fmt, policy, batch, fail_at=None):
+    want, want_report, want_error = per_line_reference(_source(lines, fail_at), fmt, policy)
+    with mock.patch.object(ingest, "_BATCH_LINES", batch):
+        records, report = ingest_stream(_source(lines, fail_at), fmt, policy)
+        got, error = [], None
+        try:
+            for record in records:
+                got.append(record)
+        except CitemetricError as exc:
+            error = type(exc), str(exc)
+            assert next(records, None) is None  # an error ends the stream
+        assert (got, error) == (want, want_error)
+        assert (report.accepted, report.rejected, report.first_errors) == want_report
+
+        # The CLI's composition: the fold drains the stream itself.
+        records, report = ingest_stream(_source(lines, fail_at), fmt, policy)
+        try:
+            table = aggregate_corpus(records)
+        except CitemetricError as exc:
+            assert (type(exc), str(exc)) == want_error
+        else:
+            assert want_error is None
+            assert table == reduce(add_record, want, {})
+        assert (report.accepted, report.rejected, report.first_errors) == want_report
+
+
+_PINNED = {
+    Format.JSONL: [
+        # Accepted by an element-count, ':'-count and dict-type rule alone.
+        [_J, '{"journal":"a","class":"supporting"},{"journal":"b","class":"supporting"', '"x":1}'],
+        [f"{_J},{_J}", '{"journal":"c","class":"supporting","x":[{}', "{}]}"],
+        # Pass every check but the element count, or but the object type.
+        [_J, '{"journal":"a","class":"supporting","x":[1', "{}]}"],
+        [f'{_J}, "ab"', '{"journal":"b","class":"supporting","x":[1', '{"journal":"c","class":"supporting"}]}'],
+        [_J, BOM + _J, _J],
+        ['{"citing_id":"doi:10.1/{x}","journal":"n","class":"supporting"}', _J],
+        ['{"citing_id":"doi:1","journal":"Nature: Reviews","class":"supporting"}', _J],
+        ['{"citing_id":"doi:1","journal":"a","class":"supporting"}', '{"journal":"a","class":"Mentioning","journal":"b"}'],
+        [_J, '{"journal":"n","class":"supporting","x":{"y":1}}', _J],
+        [_J, '{"citing_id":3,"journal":"n","class":"supporting"}', _J],
+        [_J, '{"journal":["n"],"class":"supporting"}', _J],
+        [_J, '{"journal":"  ","class":"supporting"}', '{"journal":"","class":"supporting"}', _J],
+        [_J, '{"journal":"a","class":"supporting","journal":"b"}', _J],
+        [_J, '{"journal":"a","class":"supporting"} ', '{"journal":"a","class":"supporting"}x', _J],
+        [_J, '{"journal":"a","class":"supporting"}\r\n', "", "\n", "[]", "5"],
+        [BOM + _J, _J, '{"journal":"a"}', '{"class":"supporting"}'],
+    ],
+    Format.CSV: [
+        [_HEADER, 'w1,"Nature,supporting', 'w2,Cell",mentioning', "w3,Cell,mentioning"],
+        [_HEADER, "w1,Nature,supporting", 'w2,"Cell', "w3,Cell,mentioning"],
+        [BOM + _HEADER, "w1,Nature,supporting", BOM + "w2,Nature,supporting", ",,", "a,b,c,d"],
+        [_HEADER, "w1,Nature,supporting", "w2,   ,supporting", "w3,Nature,contrasting", "", "w4,Cell,Disputing"],
+        [_HEADER, "w1,Nature,supporting", "w2," + "x" * 131_073 + ",supporting", "w3,Cell,mentioning"],
+    ],
+}
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 7, ingest._BATCH_LINES])
+@pytest.mark.parametrize(
+    "fmt, lines", [(fmt, lines) for fmt, cases in _PINNED.items() for lines in cases]
+)
+def test_batched_ingest_pinned_cases(fmt, lines, policy, batch):
+    assert_batched_equals_per_line(lines, fmt, policy, batch)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 7])
+def test_read_error_comes_after_an_earlier_strict_error_in_its_batch(batch):
+    lines = [_J, "garbage", _J, _J]
+    assert_batched_equals_per_line(lines, Format.JSONL, Policy.STRICT, batch, fail_at=3)
+    records, report = ingest_stream(_source(lines, 3), Format.JSONL)
+    with pytest.raises(MalformedLineError, match="^line 2: invalid JSON"):
+        list(records)
+    # Under skip, the lines read before the failure are still counted.
+    assert_batched_equals_per_line(lines, Format.JSONL, Policy.SKIP, batch, fail_at=3)
+    records, report = ingest_stream(_source(lines, 3), Format.JSONL, Policy.SKIP)
+    with pytest.raises(MalformedLineError, match="^invalid UTF-8"):
+        list(records)
+    assert (report.accepted, report.rejected) == (2, 1)
+
+
+@st.composite
+def _dirty_streams(draw, fmt):
+    pool = _dirty_lines(fmt) + [line for case in _PINNED[fmt] for line in case[1:]]
+    pool += [dirty_line(kind, i, fmt.value) for i, kind in enumerate(LINE_KINDS * 6)]
+    lines = draw(st.lists(st.sampled_from(pool), max_size=40))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", ""]), min_size=len(lines), max_size=len(lines)))
+    lines = [line + end for line, end in zip(lines, ends)]
+    if fmt is Format.CSV:
+        lines.insert(0, _HEADER + "\n")
+    if lines and draw(st.booleans()):
+        lines[0] = BOM + lines[0]
+    return lines
+
+
+@pytest.mark.parametrize("fmt", list(Format))
+@pytest.mark.parametrize("policy", list(Policy))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_batched_ingest_equals_per_line_reference(fmt, policy, data):
+    lines = data.draw(_dirty_streams(fmt), label="lines")
+    batch = data.draw(st.one_of(st.integers(1, 7), st.just(ingest._BATCH_LINES)), label="batch")
+    fail_at = data.draw(st.one_of(st.none(), st.integers(0, len(lines))), label="fail_at")
+    assert_batched_equals_per_line(lines, fmt, policy, batch, fail_at)
 
 
 # --- read_lines -------------------------------------------------------------

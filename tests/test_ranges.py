@@ -2,9 +2,7 @@
 one-range runs, and the failure paths of forked range workers."""
 
 import contextlib
-import csv
 import io
-import json
 import os
 import signal
 import tempfile
@@ -15,13 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import lines_and_error
+from conftest import BOM, dirty_line, line_kinds, lines_and_error
 
 import citemetric.cli as cli
 from citemetric import ingest, ranges
-from citemetric.cli import EXIT_DATA, EXIT_IO, EXIT_OK, run
+from citemetric.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, run
 
-BOM = "\ufeff"
 GOOD = '{"journal":"alpha","class":"supporting"}'
 
 
@@ -120,37 +117,10 @@ def test_no_fork_means_one_cpu(monkeypatch):
 
 # --- split runs equal the one-range run ----------------------------------
 
-_JOURNALS = ["Nature", " nature ", "NA  TURE", "1234-567x", 'Cell, "Reports"', "cell,  reports"]
-_LABELS = ["supporting", "Disputing", "MENTIONING"]
-
-_line_kinds = st.sampled_from(
-    ["good", "good", "good", "good", "malformed", "unknown_class", "empty_key", "interior_bom", "blank"]
-)
-
-
-def _line(kind: str, i: int, fmt: str) -> str:
-    journal, label = _JOURNALS[i % len(_JOURNALS)], _LABELS[i % len(_LABELS)]
-    if kind == "unknown_class":
-        label = "contrasting"
-    elif kind == "empty_key":
-        journal = "  \t "
-    elif kind == "malformed":
-        return "garbage" if fmt == "jsonl" else "a,b"
-    elif kind == "blank":
-        return ""
-    if fmt == "jsonl":
-        line = json.dumps({"citing_id": f"w{i}", "journal": journal, "class": label})
-    else:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="").writerow((f"w{i}", journal, label))
-        line = buf.getvalue()
-    return BOM + line if kind == "interior_bom" else line
-
-
 @st.composite
 def dirty_corpora(draw, fmt):
-    kinds = draw(st.lists(_line_kinds, min_size=0, max_size=40))
-    lines = [_line(kind, i, fmt) for i, kind in enumerate(kinds)]
+    kinds = draw(st.lists(line_kinds, min_size=0, max_size=40))
+    lines = [dirty_line(kind, i, fmt) for i, kind in enumerate(kinds)]
     if fmt == "csv":
         lines.insert(0, "citing_id,journal,class")
     ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
@@ -309,4 +279,32 @@ def test_strict_error_reaps_every_worker(tmp_path, bad_line):
         f"citemetric: error: {src}: line {bad_line}: "
         f"invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
     )
+    assert _no_children_left()
+
+
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("where", ["fold", "tally write"])
+def test_interrupt_is_one_line_and_exit_130(tmp_path, where):
+    src = _big_corpus(tmp_path)
+    real = cli._fold_range
+
+    def fold(path, fmt, policy, start, length):
+        if start == 0:  # in this process, while the workers run
+            _interrupt()
+        return real(path, fmt, policy, start, length)
+
+    def write(table, out):
+        out.write("partial")
+        _interrupt()
+
+    patch = mock.patch.object(cli, "_fold_range", fold) if where == "fold" else mock.patch.object(
+        cli, "write_tally_csv", write
+    )
+    with split_into(3), patch:
+        code, err, tally = aggregate([src])
+    assert (code, tally) == (EXIT_INTERRUPTED, None)
+    assert err.endswith("citemetric: interrupted\n") and "Traceback" not in err
     assert _no_children_left()
