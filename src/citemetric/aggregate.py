@@ -100,8 +100,9 @@ def aggregate_corpus(records: Iterable[CitationRecord], shards: int = 1) -> Tall
     """Tally a record stream; the result is independent of the shard count.
 
     With ``shards > 1`` records are dealt round-robin to independent folds
-    whose tables are then merged, exercising the same path a parallel ingest
-    would use. Output equals the sequential fold for every shard count.
+    whose tables are then merged with :func:`merge_tables`. Output equals the
+    sequential fold for every shard count. The ``aggregate`` command does not
+    take this path: it adds its forked workers' rows with :func:`add_counts`.
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")

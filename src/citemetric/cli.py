@@ -13,9 +13,9 @@ numbers of a single pass (see :mod:`citemetric.ranges`).
 
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
 2 data error, 3 I/O error (a stderr that cannot be written included),
-130 interrupted. All outputs, the ``synth`` corpus included, are
-deterministic for fixed inputs and renamed into place once complete, so a
-failed run leaves no partial file.
+130 interrupted (Ctrl-C or SIGTERM). All outputs, the ``synth`` corpus
+included, are deterministic for fixed inputs and renamed into place once
+complete, so a failed run leaves no partial file.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import signal
 import stat
 import sys
+import threading
 from functools import partial
 from itertools import chain, groupby
 from pathlib import Path
@@ -58,7 +60,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
-#: 128 + SIGINT, what a shell reports for a command stopped by Ctrl-C.
+#: 128 + SIGINT, what a shell reports for a command stopped by Ctrl-C;
+#: a run stopped by SIGTERM exits with it too.
 EXIT_INTERRUPTED = 130
 
 PROG = "citemetric"
@@ -305,6 +308,22 @@ def _say(message: str) -> None:
         print(f"{PROG}: {message}", file=sys.stderr, flush=True)
 
 
+@contextlib.contextmanager
+def _sigterm_interrupts() -> Iterator[None]:
+    """Let SIGTERM raise KeyboardInterrupt in the block, as Ctrl-C does, so a
+    terminated run also reaps its workers and removes its temporary file. The
+    old handler is restored on leaving; outside the main thread, which alone
+    may set handlers, nothing changes."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    old = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, old)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse ``argv`` (default: ``sys.argv[1:]``), run a command, return the
     exit code. Never raises on expected failures; see module docstring for
@@ -315,7 +334,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        with _sigterm_interrupts():
+            return args.func(args)
     except InvalidParamsError as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE

@@ -72,6 +72,15 @@ class IngestReport:
     rejected: int = 0
     first_errors: list[tuple[int, str]] = field(default_factory=list)
 
+    def extend(self, later: IngestReport) -> None:
+        """Append the report of the lines after this one's, shifting its line
+        numbers; at most ``MAX_REPORTED_ERRORS`` first errors are kept."""
+        shift = self.accepted + self.rejected
+        room = MAX_REPORTED_ERRORS - len(self.first_errors)
+        self.first_errors.extend((lineno + shift, reason) for lineno, reason in later.first_errors[:room])
+        self.accepted += later.accepted
+        self.rejected += later.rejected
+
 
 def read_lines(path: str, start: int = 0, length: int | None = None) -> Iterator[str]:
     """Yield the lines, ends included, of ``length`` bytes of ``path`` from

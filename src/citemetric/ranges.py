@@ -31,7 +31,7 @@ from typing import IO, Callable
 from . import errors
 from .aggregate import TallyTable, add_counts
 from .errors import CitemetricError
-from .ingest import MAX_REPORTED_ERRORS, IngestReport
+from .ingest import IngestReport
 
 #: Smallest range worth a worker of its own.
 MIN_RANGE_BYTES = 1 << 20
@@ -61,16 +61,17 @@ def usable_cpus() -> int:
 def plan_ranges(path: str, parts: int) -> list[Range]:
     """Cut ``path`` into at most ``parts`` ranges; the last reads to EOF.
 
-    Anything but a regular file is one range. Opening the file here raises
-    the same OSError a plain ``open`` would.
+    Decided by one ``os.stat``, which raises the OSError ``open`` would. Only
+    a regular file cut in two or more is opened here; anything else is one
+    range, so a pipe or FIFO is opened once, by the reader that drains it.
     """
+    info = os.stat(path)
+    size = info.st_size
+    parts = min(parts, size // MIN_RANGE_BYTES)
+    if parts < 2 or not stat.S_ISREG(info.st_mode):
+        return [(0, None)]
+    cuts = [0]
     with open(path, "rb") as fh:
-        info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            return [(0, None)]
-        size = info.st_size
-        parts = max(1, min(parts, size // MIN_RANGE_BYTES))
-        cuts = [0]
         for i in range(1, parts):
             fh.seek(max(size * i // parts - 1, cuts[-1]))
             fh.readline()
@@ -142,16 +143,6 @@ def _receive(pipe: IO[bytes], table: TallyTable) -> tuple | None:
     return frame
 
 
-def _add_report(total: IngestReport, accepted: int, rejected: int, first_errors: list) -> None:
-    """Append the report of the range after those ``total`` covers; its line
-    numbers shift by the data lines before it."""
-    shift = total.accepted + total.rejected
-    room = MAX_REPORTED_ERRORS - len(total.first_errors)
-    total.first_errors.extend((lineno + shift, reason) for lineno, reason in first_errors[:room])
-    total.accepted += accepted
-    total.rejected += rejected
-
-
 def fold_file(path: str, fold: RangeFold) -> tuple[TallyTable, IngestReport]:
     """Tally ``path`` with ``fold`` over its ranges, one per usable CPU.
 
@@ -189,7 +180,7 @@ def fold_file(path: str, fold: RangeFold) -> tuple[TallyTable, IngestReport]:
                 shift = report.accepted + report.rejected
                 message = _LINE_PREFIX.sub(lambda m: f"line {int(m[1]) + shift}: ", message, count=1)
                 raise getattr(errors, name)(f"{path}: {message}")
-            _add_report(report, *detail)
+            report.extend(IngestReport(*detail))
     finally:
         for pid, pipe in workers:  # left only if a range failed or we were interrupted
             pipe.close()

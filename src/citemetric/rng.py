@@ -29,6 +29,11 @@ import math
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
+#: Below this shape a gamma variate is 0.0 unless its boost uniform is
+#: exactly 1.0 (odds 2**-53): ``(1 - 2**-53) ** 1e19`` is exp(-1110), which
+#: underflows. A Beta draw with both shapes below it would retry ~2**52 times.
+_MIN_BETA_SHAPE = 1e-19
+
 
 def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -103,7 +108,15 @@ def gamma_variate(rng: SplitMix64, shape: float) -> float:
 
 
 def beta_variate(rng: SplitMix64, alpha: float, beta: float) -> float:
-    """Beta(alpha, beta) variate as Ga/(Ga+Gb)."""
+    """Beta(alpha, beta) variate as Ga/(Ga+Gb), drawn again while both
+    gamma variates underflow to 0.0.
+
+    Raises:
+        FloatingPointError: both shapes below ``_MIN_BETA_SHAPE``, where
+            that redraw would never end.
+    """
+    if alpha < _MIN_BETA_SHAPE and beta < _MIN_BETA_SHAPE:
+        raise FloatingPointError(f"Beta({alpha}, {beta}) draws underflow to 0/0")
     while True:
         x = gamma_variate(rng, alpha)
         y = gamma_variate(rng, beta)

@@ -92,9 +92,16 @@ def journal_counts(params: SynthParams, index: int) -> tuple[int, int, int, int]
     with no randomness of their own.
     """
     rng = SplitMix64(stream_seed(params.seed, index))
-    classified = round(lognormal(rng, params.lognormal_mu, params.lognormal_sigma))
-    propensity = beta_variate(rng, params.beta_alpha, params.beta_beta)
-    supporting = binomial(rng, classified, propensity)
+    try:
+        classified = round(lognormal(rng, params.lognormal_mu, params.lognormal_sigma))
+        propensity = beta_variate(rng, params.beta_alpha, params.beta_beta)
+        supporting = binomial(rng, classified, propensity)
+    except (OverflowError, FloatingPointError) as exc:  # a total past float range, or a Beta that only underflows
+        raise InvalidParamsError(
+            f"cannot draw journal {index} with lognormal_mu={params.lognormal_mu}, "
+            f"lognormal_sigma={params.lognormal_sigma}, beta_alpha={params.beta_alpha}, "
+            f"beta_beta={params.beta_beta}: {exc}"
+        ) from None
     mentioning = round(classified * params.mention_ratio / (1.0 - params.mention_ratio))
     return classified, supporting, classified - supporting, mentioning
 

@@ -8,6 +8,7 @@ from conftest import make_records, tally_tables
 
 from citemetric.aggregate import (
     TALLY_HEADER,
+    add_counts,
     add_record,
     aggregate_corpus,
     empty_tally,
@@ -90,6 +91,32 @@ class TestMergeTables:
         assert merge_tables({"x": empty_tally()}, {"x": JournalTally(1, 2, 3)}) == {
             "x": JournalTally(1, 2, 3)
         }
+
+
+class TestAddCounts:
+    def test_in_place_with_new_and_shared_keys(self):
+        table = {"x": JournalTally(1, 2, 3)}
+        same = table
+        assert add_counts(table, [("x", 10, 20, 30), ("y", 0, 4, 0), ("x", 1, 0, 0)]) is same
+        assert table == {"x": JournalTally(12, 22, 33), "y": JournalTally(0, 4, 0)}
+
+    @given(tally_tables, tally_tables)
+    def test_equals_merge_tables(self, a, b):
+        rows = [(k, t.supporting, t.disputing, t.mentioning) for k, t in b.items()]
+        assert add_counts(dict(a), rows) == merge_tables(a, b)
+
+    @pytest.mark.parametrize("field", range(3))
+    def test_overflow_message_matches_merge_tables(self, field):
+        counts = [0, 0, 0]
+        counts[field] = U64_MAX
+        big = {"x": JournalTally(*counts)}
+        one = [0, 0, 0]
+        one[field] = 1
+        with pytest.raises(ArithmeticOverflowError) as merged:
+            merge_tables(big, {"x": JournalTally(*one)})
+        with pytest.raises(ArithmeticOverflowError) as added:
+            add_counts(dict(big), [("x", *one)])
+        assert str(added.value) == str(merged.value) == "count overflow for journal 'x'"
 
 
 class TestAggregateCorpus:

@@ -1,17 +1,16 @@
 import contextlib
 import csv
 import errno
-import fcntl
 import io
 import json
 import os
+import signal
 import stat
-import struct
 import subprocess
 import sys
 import tempfile
-import termios
 import threading
+import time
 from itertools import islice
 from pathlib import Path
 
@@ -20,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import citemetric.cli as cli
-from citemetric.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, run
+from citemetric.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 from citemetric.ingest import CSV_HEADER, Format, format_record
 from citemetric.synth import SynthParams, generate_corpus
 
@@ -37,6 +36,15 @@ GOOD_LINES = [
 def write_lines(path: Path, lines) -> Path:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
+
+
+def cli_child(args, prelude: str = "") -> dict:
+    """``args`` and ``env`` for a subprocess call that runs ``citemetric
+    ARGS`` from this checkout's package, after running ``prelude``."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"{prelude}\nimport sys\nfrom citemetric.cli import run\nsys.exit(run(sys.argv[1:]))"
+    return {"args": [sys.executable, "-c", code, *map(str, args)], "env": env}
 
 
 def make_tally(path: Path, rows) -> Path:
@@ -172,10 +180,7 @@ class TestUnwritableStderr:
     def test_stderr_on_a_full_device_exits_3(self, tmp_path):
         src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
         with open("/dev/full", "wb") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "citemetric.cli", "aggregate", str(src), "-o", str(tmp_path / "t.csv")],
-                stderr=full, timeout=60,
-            )
+            proc = subprocess.run(**cli_child(["aggregate", src, "-o", tmp_path / "t.csv"]), stderr=full, timeout=60)
         assert proc.returncode == EXIT_IO
 
 
@@ -400,39 +405,46 @@ class TestPipedInput:
         assert capsys.readouterr().err == self.message(path)
         assert not (tmp_path / "t.csv").exists()
 
-    def test_named_fifo(self, tmp_path):
-        fifo = tmp_path / "in.fifo"
-        os.mkfifo(fifo)
-        done = threading.Event()
+    @staticmethod
+    def aggregate_fifo(tmp_path, data: bytes) -> tuple[int, str, bytes | None]:
+        """Run aggregate in a child process on a FIFO that a write-only
+        writer fills and closes; return the exit code, stderr and tally."""
+        fifo, out = tmp_path / "in.fifo", tmp_path / "t.csv"
+        if not fifo.exists():
+            os.mkfifo(fifo)
+        with contextlib.suppress(FileNotFoundError):
+            out.unlink()
 
         def feed():
-            # Opened read-write, the FIFO never blocks this open and keeps its
-            # buffer while aggregate opens and closes it; it is closed once
-            # aggregate has read everything, or has exited.
-            fd = os.open(fifo, os.O_RDWR)
-            try:
-                os.write(fd, self.DATA)
-                while struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]:
-                    if done.wait(0.01):
-                        break
-            finally:
-                os.close(fd)
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:  # waits for a reader
+                fh.write(data)
 
-        writer = threading.Thread(target=feed)
+        writer = threading.Thread(target=feed, daemon=True)
         writer.start()
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys; from citemetric.cli import run; sys.exit(run(sys.argv[1:]))"
         try:
             proc = subprocess.run(
-                [sys.executable, "-c", code, "aggregate", str(fifo), "-o", str(tmp_path / "t.csv")],
-                capture_output=True, text=True, timeout=60, env=env,
+                **cli_child(["aggregate", fifo, "-o", out]), capture_output=True, text=True, timeout=30
             )
         finally:
-            done.set()
+            with contextlib.suppress(OSError):  # let a writer still waiting for a reader go
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
             writer.join(timeout=10)
         assert not writer.is_alive()
-        assert (proc.returncode, proc.stderr) == (EXIT_DATA, self.message(fifo))
+        return proc.returncode, proc.stderr, out.read_bytes() if out.exists() else None
+
+    def test_named_fifo(self, tmp_path):
+        code, err, tally = self.aggregate_fifo(tmp_path, self.DATA)
+        assert (code, err, tally) == (EXIT_DATA, self.message(tmp_path / "in.fifo"), None)
+
+    def test_named_fifo_is_read_whole_by_one_open(self, tmp_path):
+        # A writer that writes and closes loses its data if aggregate opens
+        # the FIFO, closes it and opens it again; then the second open waits
+        # for a writer forever.
+        fifo = tmp_path / "in.fifo"
+        for _ in range(20):
+            code, err, tally = self.aggregate_fifo(tmp_path, self.BODY)
+            assert (code, err) == (EXIT_OK, f"{fifo}: 500 accepted, 0 rejected\n")
+            assert tally == b"journal,supporting,disputing,mentioning,total\nalpha,500,0,0,500\n"
 
 
 class TestArbitraryInput:
@@ -532,3 +544,125 @@ class TestSynth:
         out = tmp_path / "c.jsonl"
         assert run(["synth", "--journals", "8", "--seed", "1", "--mention-ratio", "0.0", "-o", str(out)]) == EXIT_OK
         assert "mentioning" not in out.read_text()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--journals", "3", "--lognormal-mu", "40"], "lognormal_mu=40.0"),
+            (["--journals", "3", "--lognormal-mu", "800"], "lognormal_mu=800.0"),
+            (["--journals", "3", "--lognormal-sigma", "400"], "lognormal_sigma=400.0"),
+            (["--journals", "2", "--beta-alpha", "1e-300", "--beta-beta", "1e-300"], "beta_alpha=1e-300, beta_beta=1e-300"),
+        ],
+    )
+    def test_draws_outside_float_range_are_a_usage_error(self, tmp_path, flags, named):
+        # A child process, so that a sampler that never returns fails by timeout.
+        args = ["synth", *flags, "-o", tmp_path / "c.jsonl"]
+        proc = subprocess.run(**cli_child(args), capture_output=True, text=True, timeout=30)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("citemetric: error: cannot draw journal 0 with ")
+        assert proc.stderr.count("\n") == 1 and named in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestSigterm:
+    """SIGTERM takes the Ctrl-C path in every stage: one stderr line, exit
+    130, no worker left running and no temporary file."""
+
+    #: Prints each forked worker's pid, then "ready" from the fold of the
+    #: parent's range; the workers sleep until they are killed.
+    AGGREGATE = """
+import os, time
+from citemetric import cli, ranges
+ranges.usable_cpus = lambda: 3
+ranges.MIN_RANGE_BYTES = 1
+fork_worker, fold_range = ranges._fork_worker, cli._fold_range
+def fork(*args):
+    pid, pipe = fork_worker(*args)
+    print(pid, flush=True)
+    return pid, pipe
+def fold(path, fmt, policy, start, length):
+    if start:
+        time.sleep(60)
+    print("ready", flush=True)
+    return fold_range(path, fmt, policy, start, length)
+ranges._fork_worker, cli._fold_range = fork, fold
+"""
+
+    #: Prints "ready" while the histogram artifact is half written.
+    REPORT = """
+import time
+from citemetric import cli
+def write(histogram, fh):
+    fh.write("bin_lo")
+    print("ready", flush=True)
+    time.sleep(60)
+cli.write_histogram_csv = write
+"""
+
+    @staticmethod
+    def terminate_when_ready(args, prelude) -> tuple[int, str, list[int]]:
+        """Run ``args`` after ``prelude``; send SIGTERM once it prints
+        "ready". Return the exit code, stderr and the pids it printed first
+        that are still running."""
+        proc = subprocess.Popen(
+            **cli_child(args, prelude), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        pids = []
+        try:
+            for line in proc.stdout:
+                if line == "ready\n":
+                    break
+                pids.append(int(line))
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=30)
+            left = [pid for pid in pids if _running(pid)]
+        finally:
+            for pid in pids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            proc.kill()
+            _, err = proc.communicate()
+        return code, err, left
+
+    def test_aggregate_reaps_its_workers(self, tmp_path):
+        src = write_lines(tmp_path / "in.jsonl", GOOD_LINES * 100)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, err, left = self.terminate_when_ready(["aggregate", src, "-o", out / "t.csv"], self.AGGREGATE)
+        assert (code, err, left) == (EXIT_INTERRUPTED, "citemetric: interrupted\n", [])
+        assert list(out.iterdir()) == []
+
+    def test_report_leaves_no_temporary_file(self, tmp_path):
+        tally = make_tally(tmp_path / "t.csv", TestReport.ROWS)
+        out = tmp_path / "out"
+        code, err, _ = self.terminate_when_ready(["report", tally, "-o", out], self.REPORT)
+        assert (code, err) == (EXIT_INTERRUPTED, "citemetric: interrupted\n")
+        assert sorted(p.name for p in out.iterdir()) == ["correlations.json", "metrics.csv", "summary.json"]
+
+    def test_synth_leaves_no_temporary_file(self, tmp_path):
+        proc = subprocess.Popen(
+            **cli_child(["synth", "--preset", "paper", "-o", tmp_path / "c.jsonl"]), stderr=subprocess.PIPE, text=True
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not list(tmp_path.glob(".c.jsonl.*.tmp")) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (EXIT_INTERRUPTED, "citemetric: interrupted\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_handler_is_restored(self, tmp_path):
+        before = signal.getsignal(signal.SIGTERM)
+        assert run(["synth", "--journals", "2", "-o", str(tmp_path / "c.jsonl")]) == EXIT_OK
+        assert signal.getsignal(signal.SIGTERM) is before

@@ -15,6 +15,7 @@ from citemetric.errors import CitemetricError, EmptyKeyError, MalformedLineError
 from citemetric.ingest import (
     MAX_REPORTED_ERRORS,
     Format,
+    IngestReport,
     Policy,
     format_record,
     ingest_stream,
@@ -174,6 +175,19 @@ class TestIngestStream:
         assert list(records) == []
         assert report.rejected == MAX_REPORTED_ERRORS + 15
         assert len(report.first_errors) == MAX_REPORTED_ERRORS
+
+    def test_report_extend_shifts_caps_and_sums(self):
+        total = IngestReport(3, 2, [(1, "a"), (4, "b")])
+        total.extend(IngestReport(5, 1, [(2, "c")]))  # its line 2 is line 5 + 2
+        assert total == IngestReport(8, 3, [(1, "a"), (4, "b"), (7, "c")])
+        total.extend(IngestReport())
+        assert total == IngestReport(8, 3, [(1, "a"), (4, "b"), (7, "c")])
+        # 30 more errors over two reports; only the first 17 find room.
+        total.extend(IngestReport(0, 15, [(n, "d") for n in range(1, 16)]))
+        total.extend(IngestReport(1, 15, [(n, "e") for n in range(2, 17)]))
+        assert (total.accepted, total.rejected) == (9, 33)
+        assert len(total.first_errors) == MAX_REPORTED_ERRORS
+        assert total.first_errors[3:] == [(n, "d") for n in range(12, 27)] + [(28, "e"), (29, "e")]
 
     def test_blank_interior_line_is_an_error(self):
         records, _ = ingest_stream(['{"journal":"a","class":"supporting"}', ""], Format.JSONL)

@@ -6,6 +6,7 @@ import io
 import os
 import signal
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -100,14 +101,46 @@ def test_range_lines_concatenate_to_the_file_lines(tmp_path, data, parts, min_by
     assert (got, error) == want
 
 
+def not_opened():
+    return mock.patch.object(ranges, "open", side_effect=AssertionError("opened"), create=True)
+
+
 def test_small_file_is_one_range(tmp_path):
     path = tmp_path / "f.jsonl"
     path.write_text((GOOD + "\n") * 10)
-    assert ranges.plan_ranges(str(path), 8) == [(0, None)]
+    with not_opened():
+        assert ranges.plan_ranges(str(path), 8) == [(0, None)]
+        with mock.patch.object(ranges, "MIN_RANGE_BYTES", 1):
+            assert ranges.plan_ranges(str(path), 1) == [(0, None)]
 
 
 def test_non_regular_file_is_one_range():
-    assert ranges.plan_ranges("/dev/null", 8) == [(0, None)]
+    with not_opened():
+        assert ranges.plan_ranges("/dev/null", 8) == [(0, None)]
+
+
+def test_fifo_is_one_range_and_not_opened(tmp_path):
+    # With no writer, opening the FIFO to read would wait for one.
+    fifo = tmp_path / "in.fifo"
+    os.mkfifo(fifo)
+    plans = []
+    planner = threading.Thread(target=lambda: plans.append(ranges.plan_ranges(str(fifo), 2)), daemon=True)
+    planner.start()
+    planner.join(timeout=10)
+    waited = planner.is_alive()
+    if waited:  # release it: a writer that opens and closes at once
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        planner.join(timeout=10)
+    assert not waited and plans == [[(0, None)]]
+
+
+def test_missing_file_raises_what_open_raises(tmp_path):
+    path = str(tmp_path / "missing.jsonl")
+    with pytest.raises(FileNotFoundError) as planned:
+        ranges.plan_ranges(path, 2)
+    with pytest.raises(FileNotFoundError) as opened:
+        open(path, "rb")
+    assert str(planned.value) == str(opened.value)
 
 
 def test_no_fork_means_one_cpu(monkeypatch):
