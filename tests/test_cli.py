@@ -412,8 +412,7 @@ class TestPipedInput:
         fifo, out = tmp_path / "in.fifo", tmp_path / "t.csv"
         if not fifo.exists():
             os.mkfifo(fifo)
-        with contextlib.suppress(FileNotFoundError):
-            out.unlink()
+        out.unlink(missing_ok=True)
 
         def feed():
             with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:  # waits for a reader
