@@ -2,7 +2,8 @@
 
 Tables form a commutative monoid under :func:`merge_tables` with the empty
 table as identity, so shards can aggregate independently and merge in any
-order with identical results.
+order with identical results. :func:`add_counts` is the one summing kernel:
+merges, single records and workers' rows all add and overflow-check there.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ _IDX = {
     CitationClass.DISPUTING: 1,
     CitationClass.MENTIONING: 2,
 }
+#: Each class's one-hot (supporting, disputing, mentioning) row.
+_ONE = {klass: tuple(int(i == j) for j in range(3)) for klass, i in _IDX.items()}
 
 
 def empty_tally() -> JournalTally:
@@ -42,16 +45,7 @@ def add_record(table: TallyTable, record: CitationRecord) -> TallyTable:
 
     Returns the same mapping for fold-style use.
     """
-    t = table.get(record.journal)
-    if t is None:
-        t = JournalTally(0, 0, 0)
-    counts = [t.supporting, t.disputing, t.mentioning]
-    idx = _IDX[record.klass]
-    if counts[idx] >= U64_MAX:
-        raise ArithmeticOverflowError(f"count overflow for journal {record.journal!r}")
-    counts[idx] += 1
-    table[record.journal] = JournalTally(*counts)
-    return table
+    return add_counts(table, ((record.journal, *_ONE[record.klass]),))
 
 
 def merge_tables(a: TallyTable, b: TallyTable) -> TallyTable:
@@ -60,29 +54,19 @@ def merge_tables(a: TallyTable, b: TallyTable) -> TallyTable:
     Pure function: neither input is mutated. Raises ArithmeticOverflowError
     if a summed count leaves the unsigned 64-bit range.
     """
-    merged = dict(a)
-    for key, tb in b.items():
-        ta = merged.get(key)
-        if ta is None:
-            merged[key] = tb
-            continue
-        s = ta.supporting + tb.supporting
-        d = ta.disputing + tb.disputing
-        m = ta.mentioning + tb.mentioning
-        if s > U64_MAX or d > U64_MAX or m > U64_MAX:
-            raise ArithmeticOverflowError(f"count overflow for journal {key!r}")
-        merged[key] = JournalTally(s, d, m)
-    return merged
+    # Shared keys start from a's tally, then b's counts are added. Keys come
+    # out in b's order, not a's, which is safe: every consumer sorts or compares.
+    shared = ((k, t.supporting, t.disputing, t.mentioning) for k, t in b.items() if k in a)
+    return add_counts({**b, **a}, shared)
 
 
 def add_counts(table: TallyTable, rows: Iterable[tuple[JournalKey, int, int, int]]) -> TallyTable:
     """Add ``(journal, supporting, disputing, mentioning)`` rows into a table,
     in place.
 
-    The in-place form of :func:`merge_tables` for counts that arrive as a
-    stream of rows (from another process, say): no second table is built.
-    Returns the same mapping. Raises ArithmeticOverflowError if a summed count
-    leaves the unsigned 64-bit range.
+    The one summing kernel, behind :func:`merge_tables`, :func:`add_record`
+    and the rows forked workers stream back. Returns the same mapping. Raises
+    ArithmeticOverflowError if a summed count leaves the unsigned 64-bit range.
     """
     for key, s, d, m in rows:
         t = table.get(key)

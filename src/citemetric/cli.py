@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import signal
 import stat
@@ -30,7 +31,7 @@ import threading
 from functools import partial
 from itertools import chain, groupby
 from pathlib import Path
-from typing import IO, Iterator, NoReturn, Sequence
+from typing import IO, Callable, Iterator, NoReturn, Sequence
 
 from .aggregate import (
     TallyTable,
@@ -69,16 +70,6 @@ PROG = "citemetric"
 #: Most copies of one synth line joined into a single write.
 _SYNTH_CHUNK_LINES = 1024
 
-_SYNTH_FIELDS = (
-    "journals",
-    "lognormal_mu",
-    "lognormal_sigma",
-    "beta_alpha",
-    "beta_beta",
-    "mention_ratio",
-    "seed",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; our contract says 1."""
@@ -88,18 +79,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type`` that takes an integer of at least ``low``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,13 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("tally", metavar="TALLY_CSV", help="tally CSV produced by aggregate")
     rep.add_argument(
         "--min-citations",
-        type=_nonnegative_int,
+        type=_int_at_least(0),
         default=100,
         help="index requires total citations strictly above this (default: 100)",
     )
     rep.add_argument(
         "--min-classified",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=1,
         help="index requires at least this many classified citations (default: 1)",
     )
@@ -152,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Write a seeded synthetic citation corpus. Flags override preset values.",
     )
     syn.add_argument("--preset", choices=("paper",), help="parameter preset to start from")
-    syn.add_argument("--journals", type=_positive_int, help="number of journals")
+    syn.add_argument("--journals", type=_int_at_least(1), help="number of journals")
     syn.add_argument("--lognormal-mu", type=float, help="log-scale location of classified totals")
     syn.add_argument("--lognormal-sigma", type=float, help="log-scale spread of classified totals")
     syn.add_argument("--beta-alpha", type=float, help="support propensity Beta alpha")
@@ -192,24 +184,25 @@ def _print_report(path: str, report: IngestReport) -> None:
 
 
 @contextlib.contextmanager
-def _atomic_write(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
-    """Write UTF-8 text to a hidden file beside ``path`` and rename it over
-    ``path`` once the block completes; on failure only the hidden file goes,
-    and it goes. The result has the mode bits ``open(path, "w")`` would give
-    it. A destination that is not a regular file is written in place."""
+def _atomic_write(path: str | Path) -> Iterator[IO[str]]:
+    """Write UTF-8 text, newlines untranslated, to a hidden file beside
+    ``path`` and rename it over ``path`` once the block completes; on failure
+    only the hidden file goes, and it goes. The result has the mode bits
+    ``open(path, "w")`` would give it. A destination that is not a regular
+    file is written in place."""
     target = os.path.realpath(path)
     try:
         info = os.stat(target)
     except FileNotFoundError:
         info = None
     if info is not None and not stat.S_ISREG(info.st_mode):
-        with open(target, "w", encoding="utf-8", newline=newline) as fh:
+        with open(target, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        fh = open(tmp, "x", encoding="utf-8", newline=newline)
+        fh = open(tmp, "x", encoding="utf-8", newline="")
     except OSError as exc:  # name the destination, as open(path, "w") would
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
@@ -235,7 +228,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     for path, (table, report) in zip(paths, results):
         _print_report(path, report)
         combined = merge_tables(combined, table)
-    with _atomic_write(args.output, newline="") as fh:
+    with _atomic_write(args.output) as fh:
         write_tally_csv(combined, fh)
     return EXIT_OK
 
@@ -259,33 +252,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with _atomic_write(outdir / "metrics.csv", newline="") as fh:
+    with _atomic_write(outdir / "metrics.csv") as fh:
         write_metrics_csv(metrics, fh)
     with _atomic_write(outdir / "summary.json") as fh:
         write_summary_json(summaries, fh)
     with _atomic_write(outdir / "correlations.json") as fh:
         write_correlations_json(correlations, fh)
-    with _atomic_write(outdir / "si_histogram.csv", newline="") as fh:
+    with _atomic_write(outdir / "si_histogram.csv") as fh:
         write_histogram_csv(si_histogram, fh)
-    with _atomic_write(outdir / "si_scatter.csv", newline="") as fh:
+    with _atomic_write(outdir / "si_scatter.csv") as fh:
         write_scatter_csv(points, fh)
     return EXIT_OK
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    base = default_paper_regime() if args.preset == "paper" else None
-    kwargs = {}
-    for field in _SYNTH_FIELDS:
-        value = getattr(args, field)
-        if value is not None:
-            kwargs[field] = value
-        elif base is not None:
-            kwargs[field] = getattr(base, field)
-    if "journals" not in kwargs:
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthParams)}
+    given = {name: value for name, value in values.items() if value is not None}
+    if args.preset == "paper":
+        params = dataclasses.replace(default_paper_regime(), **given)
+    elif "journals" in given:
+        params = SynthParams(**given)
+    else:
         raise InvalidParamsError("--journals is required unless --preset paper is given")
-    params = SynthParams(**kwargs)
     fmt = Format(args.format)
-    with _atomic_write(args.output, newline="") as fh:
+    with _atomic_write(args.output) as fh:
         if fmt is Format.CSV:
             fh.write(",".join(CSV_HEADER) + "\n")
         # Runs of identical records are common (the generator emits each

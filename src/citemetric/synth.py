@@ -27,7 +27,8 @@ from .rng import SplitMix64, beta_variate, binomial, lognormal, stream_seed
 
 @dataclass(frozen=True, slots=True)
 class SynthParams:
-    """Parameters of the corpus generator.
+    """Parameters of the corpus generator; the defaults are the paper
+    regime (see :func:`default_paper_regime`).
 
     ``lognormal_mu``/``lognormal_sigma`` shape the per-journal classified
     totals; ``beta_alpha``/``beta_beta`` shape the support propensity;
@@ -72,15 +73,7 @@ def default_paper_regime() -> SynthParams:
     of 4,892 at seed 42); that atom at SI = 1.0 puts the SI histogram's
     tallest bin at [0.98, 1.00].
     """
-    return SynthParams(
-        journals=10_000,
-        lognormal_mu=3.0,
-        lognormal_sigma=1.8,
-        beta_alpha=9.0,
-        beta_beta=1.4,
-        mention_ratio=0.8,
-        seed=42,
-    )
+    return SynthParams(journals=10_000)
 
 
 def journal_counts(params: SynthParams, index: int) -> tuple[int, int, int, int]:

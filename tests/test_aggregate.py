@@ -116,7 +116,11 @@ class TestAddCounts:
             merge_tables(big, {"x": JournalTally(*one)})
         with pytest.raises(ArithmeticOverflowError) as added:
             add_counts(dict(big), [("x", *one)])
-        assert str(added.value) == str(merged.value) == "count overflow for journal 'x'"
+        table = dict(big)
+        with pytest.raises(ArithmeticOverflowError) as recorded:
+            add_record(table, rec("x", [SUP, DIS, MEN][field]))
+        assert table == big
+        assert str(added.value) == str(merged.value) == str(recorded.value) == "count overflow for journal 'x'"
 
 
 class TestAggregateCorpus:

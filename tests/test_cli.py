@@ -74,10 +74,22 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "beta_alpha" in capsys.readouterr().err
 
-    def test_report_rejects_negative_threshold(self, tmp_path):
-        tally = make_tally(tmp_path / "t.csv", [("a", 5, 5, 100)])
-        code = run(["report", str(tally), "--min-citations", "-1", "-o", str(tmp_path / "out")])
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            pytest.param("synth", "--journals", "abc", "invalid int value: 'abc'", id="journals-abc"),
+            pytest.param("synth", "--journals", "0", "must be >= 1, got 0", id="journals-0"),
+            pytest.param("report", "--min-citations", "x", "invalid int value: 'x'", id="min-citations-x"),
+            pytest.param("report", "--min-citations", "-1", "must be >= 0, got -1", id="min-citations-negative"),
+            pytest.param("report", "--min-classified", "0", "must be >= 1, got 0", id="min-classified-0"),
+        ],
+    )
+    def test_bad_int_option(self, tmp_path, capsys, command, flag, value, message):
+        tally = [make_tally(tmp_path / "t.csv", [("a", 5, 5, 100)])] if command == "report" else []
+        code = run([command, *map(str, tally), flag, value, "-o", str(tmp_path / "out")])
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"citemetric {command}: error: argument {flag}: {message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == EXIT_OK

@@ -2,6 +2,7 @@
 one-range runs, and the failure paths of forked range workers."""
 
 import contextlib
+import errno
 import io
 import os
 import signal
@@ -300,6 +301,27 @@ def test_truncated_worker_output_is_io_error(tmp_path):
     assert code == EXIT_IO and tally is None
     assert "failed (output cut short)" in err
     assert _no_children_left()
+
+
+def test_worker_io_error_reads_as_in_the_parent(tmp_path):
+    src = _big_corpus(tmp_path)
+    real = cli._fold_range
+
+    def fails(in_worker):
+        def fold(path, fmt, policy, start, length):
+            if bool(start) == in_worker:
+                raise OSError(errno.EIO, os.strerror(errno.EIO), path)
+            return real(path, fmt, policy, start, length)
+
+        return fold
+
+    runs = []
+    for in_worker in (True, False):
+        with split_into(3), mock.patch.object(cli, "_fold_range", fails(in_worker)):
+            runs.append(aggregate([src]))
+        assert _no_children_left()
+    expected = f"citemetric: error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: {str(src)!r}\n"
+    assert runs[0] == runs[1] == (EXIT_IO, expected, None)
 
 
 @pytest.mark.parametrize("bad_line", [10, 390])  # in the parent's range, in the last worker's
