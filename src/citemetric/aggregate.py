@@ -54,9 +54,12 @@ def merge_tables(a: TallyTable, b: TallyTable) -> TallyTable:
     Pure function: neither input is mutated. Raises ArithmeticOverflowError
     if a summed count leaves the unsigned 64-bit range.
     """
-    # Shared keys start from a's tally, then b's counts are added. Keys come
-    # out in b's order, not a's, which is safe: every consumer sorts or compares.
-    shared = ((k, t.supporting, t.disputing, t.mentioning) for k, t in b.items() if k in a)
+    # Shared keys start from the larger table's tally, then the smaller one's
+    # counts are added, so only the smaller table is walked. Key order depends
+    # on the sizes, which is safe: every consumer sorts or compares.
+    if len(b) > len(a):
+        a, b = b, a
+    shared = ((k, *t) for k, t in b.items() if k in a)
     return add_counts({**b, **a}, shared)
 
 
@@ -71,9 +74,9 @@ def add_counts(table: TallyTable, rows: Iterable[tuple[JournalKey, int, int, int
     for key, s, d, m in rows:
         t = table.get(key)
         if t is not None:
-            s += t.supporting
-            d += t.disputing
-            m += t.mentioning
+            s += t[0]
+            d += t[1]
+            m += t[2]
             if s > U64_MAX or d > U64_MAX or m > U64_MAX:
                 raise ArithmeticOverflowError(f"count overflow for journal {key!r}")
         table[key] = JournalTally(s, d, m)
@@ -98,6 +101,8 @@ def aggregate_corpus(records: Iterable[CitationRecord], shards: int = 1) -> Tall
 
 def _fold(records: Iterable[CitationRecord]) -> TallyTable:
     # Hot path: plain int lists while folding, immutable tallies at the end.
+    # Counts made by += 1 from zero cannot leave [0, 2**64 - 1], so this is
+    # the one place a tally is built without JournalTally's check.
     acc: dict[JournalKey, list[int]] = {}
     get = acc.get
     idx = _IDX
@@ -106,24 +111,36 @@ def _fold(records: Iterable[CitationRecord]) -> TallyTable:
         if counts is None:
             counts = acc[journal] = [0, 0, 0]
         counts[idx[klass]] += 1
-    return {k: JournalTally(*v) for k, v in acc.items()}
+    return {k: tuple.__new__(JournalTally, v) for k, v in acc.items()}
 
 
 def write_tally_csv(table: TallyTable, out: IO[str]) -> None:
     """Serialize a table as CSV, rows in ascending journal-key order.
 
     Columns: journal,supporting,disputing,mentioning,total with total the row
-    sum. Sorted output makes identical tables byte-identical files.
+    sum. Sorted output makes identical tables byte-identical files. A key is
+    quoted only when it holds a comma, a double quote, CR or LF, and its
+    double quotes are doubled: for every key without a CR, the bytes
+    ``csv.writer`` writes. Rows are formatted here because ``csv.writer``'s
+    per-row cost was most of the write on a wide table.
     """
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TALLY_HEADER)
-    for key in sorted(table):
-        t = table[key]
-        writer.writerow((key, t.supporting, t.disputing, t.mentioning, t.total()))
+    out.write(",".join(TALLY_HEADER) + "\n")
+    keys = sorted(table)  # sorting bare str keys is much faster than sorting items
+    out.writelines(
+        f"{_csv_field(key)},{s},{d},{m},{s + d + m}\n" for key, (s, d, m) in zip(keys, map(table.__getitem__, keys))
+    )
+
+
+def _csv_field(text: str) -> str:
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def read_tally_csv(source: Iterable[str]) -> TallyTable:
     """Parse a tally CSV back into a table, validating counts and totals.
+
+    Counts must be ASCII decimal digits; any other field is an invalid count.
 
     A BOM before the header is dropped, as in corpus files.
     """
@@ -147,14 +164,19 @@ def _read_tally_rows(reader: Iterator[list[str]]) -> TallyTable:
         if len(row) != len(TALLY_HEADER):
             raise MalformedLineError(f"row {rownum}: expected {len(TALLY_HEADER)} fields, got {len(row)}")
         raw_key, *fields = row
+        # Counts are ASCII decimal digits only, as written: int() alone would
+        # also take " 5", "+1", "1_0" and non-ASCII digits.
+        if not (all(map(str.isdigit, fields)) and all(map(str.isascii, fields))):
+            bad = next(x for x in fields if not (x.isascii() and x.isdigit()))
+            raise MalformedLineError(f"row {rownum}: invalid count {bad!r}")
         try:
-            s, d, m, total = (int(x) for x in fields)
+            s, d, m, total = map(int, fields)
             key = normalize_journal_key(raw_key)
             tally = JournalTally(s, d, m)
         except (ValueError, EmptyKeyError) as exc:
             raise MalformedLineError(f"row {rownum}: {exc}") from None
-        if tally.total() != total:
-            raise MalformedLineError(f"row {rownum}: total {total} != {tally.total()}")
+        if s + d + m != total:
+            raise MalformedLineError(f"row {rownum}: total {total} != {s + d + m}")
         if key in table:
             raise MalformedLineError(f"row {rownum}: duplicate journal {key!r}")
         table[key] = tally

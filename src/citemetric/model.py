@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import EmptyKeyError
 
@@ -68,21 +68,38 @@ class CitationRecord(NamedTuple):
     klass: CitationClass
 
 
-@dataclass(frozen=True, slots=True)
-class JournalTally:
-    """Per-journal citation counts; the pipeline's mergeable accumulator."""
+class _TallyCounts(NamedTuple):
+    """The fields and defaults of :class:`JournalTally`, which adds the checks."""
 
     supporting: int = 0
     disputing: int = 0
     mentioning: int = 0
 
-    def __post_init__(self) -> None:
-        for name in ("supporting", "disputing", "mentioning"):
-            count = getattr(self, name)
-            if not isinstance(count, int):
-                raise ValueError(f"{name} count must be an integer, got {count!r}")
-            if not 0 <= count <= U64_MAX:
-                raise ValueError(f"{name} count {count} outside [0, 2**64 - 1]")
+
+class JournalTally(_TallyCounts):
+    """Per-journal citation counts; the pipeline's mergeable accumulator.
+
+    An immutable named ``(supporting, disputing, mentioning)`` tuple, so it
+    equals the plain tuple of its counts. Every public way to build one
+    checks that each count is an int in [0, 2**64 - 1].
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, supporting: int = 0, disputing: int = 0, mentioning: int = 0) -> JournalTally:
+        if (
+            type(supporting) is type(disputing) is type(mentioning) is int
+            and 0 <= supporting <= U64_MAX
+            and 0 <= disputing <= U64_MAX
+            and 0 <= mentioning <= U64_MAX
+        ):
+            return tuple.__new__(cls, (supporting, disputing, mentioning))
+        return tuple.__new__(cls, _checked_counts((supporting, disputing, mentioning)))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> JournalTally:
+        # NamedTuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     def total(self) -> int:
         return self.supporting + self.disputing + self.mentioning
@@ -90,6 +107,17 @@ class JournalTally:
     def classified(self) -> int:
         """Citations carrying a supporting or disputing judgement."""
         return self.supporting + self.disputing
+
+
+def _checked_counts(counts: tuple) -> tuple[int, int, int]:
+    """Word the ValueError for the first bad count; int subclasses such as
+    bool pass and are stored as plain ints."""
+    for name, count in zip(_TallyCounts._fields, counts):
+        if not isinstance(count, int):
+            raise ValueError(f"{name} count must be an integer, got {count!r}")
+        if not 0 <= count <= U64_MAX:
+            raise ValueError(f"{name} count {count} outside [0, 2**64 - 1]")
+    return tuple(map(int, counts))
 
 
 @dataclass(frozen=True, slots=True)

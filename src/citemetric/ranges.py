@@ -103,7 +103,7 @@ def _work(fold: RangeFold, rng: Range, out: IO[bytes]) -> None:
         _send(("io", str(exc)), out)
         return
     items = iter(table.items())
-    while chunk := [(k, t.supporting, t.disputing, t.mentioning) for k, t in islice(items, ROWS_PER_CHUNK)]:
+    while chunk := [(k, *t) for k, t in islice(items, ROWS_PER_CHUNK)]:
         _send(chunk, out)
     _send(("ok", report.accepted, report.rejected, report.first_errors), out)
 

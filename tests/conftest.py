@@ -33,6 +33,12 @@ tallies = st.builds(
 tally_tables = st.dictionaries(journal_keys, tallies, max_size=8)
 
 
+def assert_tally_types(table) -> None:
+    """Every value is a JournalTally itself: a plain tuple of the same
+    counts would compare equal, so table equality cannot see a lost type."""
+    assert [type(v) for v in table.values()] == [JournalTally] * len(table), table
+
+
 BOM = "\ufeff"
 
 _JOURNALS = ["Nature", " nature ", "NA  TURE", "1234-567x", 'Cell, "Reports"', "cell,  reports"]

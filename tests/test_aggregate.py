@@ -1,10 +1,11 @@
+import csv
 import io
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_records, tally_tables
+from conftest import assert_tally_types, make_records, tallies, tally_tables
 
 from citemetric.aggregate import (
     TALLY_HEADER,
@@ -32,12 +33,14 @@ class TestAddRecord:
     def test_new_journal(self):
         table = add_record({}, rec("a", SUP))
         assert table == {"a": JournalTally(1, 0, 0)}
+        assert_tally_types(table)
 
     def test_increments_by_class(self):
         table = {}
         for k in (SUP, DIS, DIS, MEN, MEN, MEN):
             add_record(table, rec("a", k))
         assert table["a"] == JournalTally(1, 2, 3)
+        assert_tally_types(table)
 
     def test_in_place_and_returns_table(self):
         table = {}
@@ -76,6 +79,10 @@ class TestMergeTables:
     def test_commutative(self, a, b):
         assert merge_tables(a, b) == merge_tables(b, a)
 
+    @given(tally_tables, tally_tables)
+    def test_values_are_tallies(self, a, b):
+        assert_tally_types(merge_tables(a, b))
+
     @given(tally_tables, tally_tables, tally_tables)
     @settings(max_examples=60)
     def test_associative(self, a, b, c):
@@ -99,6 +106,12 @@ class TestAddCounts:
         same = table
         assert add_counts(table, [("x", 10, 20, 30), ("y", 0, 4, 0), ("x", 1, 0, 0)]) is same
         assert table == {"x": JournalTally(12, 22, 33), "y": JournalTally(0, 4, 0)}
+        assert_tally_types(table)
+
+    @pytest.mark.parametrize("row", [("y", -1, 0, 0), ("x", 0, -5, 0), ("y", 0, 1.5, 0)])
+    def test_rows_are_validated(self, row):
+        with pytest.raises(ValueError):
+            add_counts({"x": JournalTally(1, 2, 3)}, [row])
 
     @given(tally_tables, tally_tables)
     def test_equals_merge_tables(self, a, b):
@@ -144,6 +157,12 @@ class TestAggregateCorpus:
         for shards in range(2, 9):
             assert aggregate_corpus(iter(records), shards=shards) == baseline
 
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_values_are_tallies(self, rnd, shards):
+        table = aggregate_corpus(make_records(rnd, 300), shards=shards)
+        assert table
+        assert_tally_types(table)
+
     def test_matches_add_record_fold(self, rnd):
         records = make_records(rnd, 300)
         table = {}
@@ -164,13 +183,39 @@ class TestTallyCsv:
             "journal,supporting,disputing,mentioning,total\n" "a,0,0,1,1\n" "b,1,2,3,6\n"
         )
 
+    @given(
+        st.dictionaries(
+            st.text(st.sampled_from(',"\n ') | st.characters(blacklist_characters="\r\x00"), max_size=10),
+            tallies,
+            max_size=8,
+        )
+    )
+    def test_write_equals_csv_writer(self, table):
+        # Keys with a CR are left out: csv.writer quotes them only from Python 3.13.
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(TALLY_HEADER)
+        for key in sorted(table):
+            t = table[key]
+            writer.writerow((key, t.supporting, t.disputing, t.mentioning, t.total()))
+        got = io.StringIO()
+        write_tally_csv(table, got)
+        assert got.getvalue() == want.getvalue()
+
+    def test_write_quotes_a_key_with_a_cr(self):
+        buf = io.StringIO()
+        write_tally_csv({'a\rb "c"': JournalTally(1, 2, 3)}, buf)
+        assert buf.getvalue() == ",".join(TALLY_HEADER) + '\n"a\rb ""c""",1,2,3,6\n'
+
     @given(tally_tables)
     @settings(max_examples=60)
     def test_round_trip(self, table):
         buf = io.StringIO()
         write_tally_csv(table, buf)
         buf.seek(0)
-        assert read_tally_csv(buf) == table
+        read = read_tally_csv(buf)
+        assert read == table
+        assert_tally_types(read)
 
     def test_read_rejects_bad_header(self):
         with pytest.raises(MalformedLineError, match="header"):
@@ -189,12 +234,36 @@ class TestTallyCsv:
             "a,-1,2,3,4\n",  # negative
             "a,1,2,3,7\n",  # wrong total
             " ,1,2,3,6\n",  # empty key
+            "a,1_0,0,0,10\n",  # digits int() takes but the writer never writes
+            "b, 5,+1,\u0663,9\n",
+            "a,+1,0,0,1\n",
+            "a,1,0,\u0663,4\n",  # ARABIC-INDIC DIGIT THREE
+            "a,1,2,3,6 \n",
+            "a,1,,3,4\n",
+            f"a,{2**64},0,0,{2**64}\n",  # past U64_MAX
         ],
     )
     def test_read_rejects_bad_rows(self, row):
         header = ",".join(TALLY_HEADER) + "\n"
         with pytest.raises(MalformedLineError, match="row 2"):
             read_tally_csv([header, row])
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("a,x,2,3,5\n", "x"),
+            ("a,1_0,0,0,10\n", "1_0"),
+            ("b, 5,+1,\u0663,9\n", " 5"),
+            ("a,1,+1,3,5\n", "+1"),
+            ("a,1,2,\u0663,6\n", "\u0663"),
+            ("a,1,2,3,\n", ""),
+        ],
+    )
+    def test_read_names_the_invalid_count(self, row, field):
+        header = ",".join(TALLY_HEADER) + "\n"
+        with pytest.raises(MalformedLineError) as exc:
+            read_tally_csv([header, row])
+        assert str(exc.value) == f"row 2: invalid count {field!r}"
 
     def test_read_rejects_duplicate_journal(self):
         header = ",".join(TALLY_HEADER) + "\n"

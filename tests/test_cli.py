@@ -272,6 +272,13 @@ class TestReport:
         assert run(["report", str(bad), "-o", str(tmp_path / "out")]) == EXIT_DATA
         assert "row 2" in capsys.readouterr().err
 
+    def test_count_the_writer_never_writes_is_data_error(self, tmp_path, capsys):
+        rows = ["journal,supporting,disputing,mentioning,total", "a,1_0,0,0,10", "b, 5,+1,\u0663,9"]
+        bad = write_lines(tmp_path / "t.csv", rows)
+        assert run(["report", str(bad), "-o", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"citemetric: error: {bad}: row 2: invalid count '1_0'\n"
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
     def test_insufficient_data_names_statistic(self, tmp_path, capsys):
         tally = make_tally(tmp_path / "t.csv", [("solo", 5, 5, 100)])
         assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -90,6 +93,49 @@ class TestJournalTally:
             t.supporting = 9
         assert t == JournalTally(1, 2, 3)
         assert len({t, JournalTally(1, 2, 3)}) == 1
+
+    def test_repr(self):
+        assert repr(JournalTally(1, 2, 3)) == "JournalTally(supporting=1, disputing=2, mentioning=3)"
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError) as not_int:
+            JournalTally(0, 1.5)
+        with pytest.raises(ValueError) as out_of_range:
+            JournalTally(0, 0, U64_MAX + 1)
+        assert str(not_int.value) == "disputing count must be an integer, got 1.5"
+        assert str(out_of_range.value) == f"mentioning count {U64_MAX + 1} outside [0, 2**64 - 1]"
+
+    def test_equals_the_plain_tuple_of_its_counts(self):
+        t = JournalTally(1, 2, 3)
+        assert t == (1, 2, 3) and tuple(t) == (1, 2, 3) and hash(t) == hash((1, 2, 3))
+
+    def test_int_subclass_is_stored_as_int(self):
+        t = JournalTally(True, 0, 0)
+        assert t == (1, 0, 0) and type(t.supporting) is int
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: JournalTally._make([-1, 0, 0]),
+            lambda: JournalTally._make([0, 0, U64_MAX + 1]),
+            lambda: JournalTally(1, 2, 3)._replace(supporting=-5),
+            lambda: JournalTally(1, 2, 3)._replace(mentioning=0.5),
+        ],
+    )
+    def test_make_and_replace_validate(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_make_replace_pickle_and_copy_keep_the_type(self):
+        t = JournalTally(1, 2, 3)
+        for made in (
+            JournalTally._make([1, 2, 3]),
+            t._replace(),
+            pickle.loads(pickle.dumps(t)),
+            copy.copy(t),
+            copy.deepcopy(t),
+        ):
+            assert type(made) is JournalTally and made == t
 
 
 class TestConfigAndMetrics:

@@ -8,6 +8,7 @@ import os
 import signal
 import tempfile
 import threading
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import BOM, dirty_line, line_kinds, lines_and_error
+from conftest import BOM, assert_tally_types, dirty_line, line_kinds, lines_and_error
 
 import citemetric.cli as cli
 from citemetric import ingest, ranges
@@ -216,6 +217,48 @@ def test_split_run_reports_the_first_errors_of_the_file(tmp_path):
     assert got == want
     listed = [line for line in got[1].splitlines() if line.startswith("  ")]
     assert len(listed) == 20 and listed[-1].startswith(f"  {src}:58: ")
+
+
+def _many_journals(tmp_path) -> Path:
+    """Journals the two halves share, then journals only the second half has."""
+    classes = ["supporting", "disputing", "mentioning"]
+    lines = [f'{{"journal":"j{i % 50}","class":"{classes[i % 3]}"}}' for i in range(300)]
+    lines += [f'{{"journal":"tail {i}","class":"{classes[i % 3]}"}}' for i in range(100)]
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(line + "\n" for line in lines))
+    return src
+
+
+def test_multi_frame_worker_stream_equals_one_range_run(tmp_path):
+    src = _many_journals(tmp_path)
+    with split_into(1):
+        want = aggregate([src])
+    frames = []
+    real = ranges.add_counts
+
+    def add_counts(table, rows):
+        frames.append(len(rows))
+        return real(table, rows)
+
+    with split_into(2, min_bytes=64), mock.patch.object(ranges, "ROWS_PER_CHUNK", 2), mock.patch.object(
+        ranges, "add_counts", add_counts
+    ):
+        assert len(ranges.plan_ranges(str(src), 2)) == 2
+        got = aggregate([src])
+    assert got == want and want[0] == EXIT_OK
+    assert len(frames) > 10 and max(frames) == 2  # the worker's ~150 journals, two a frame
+    assert _no_children_left()
+
+
+def test_forked_fold_file_values_are_tallies(tmp_path):
+    src = str(_many_journals(tmp_path))
+    fold = partial(cli._fold_range, src, ingest.Format.JSONL, ingest.Policy.STRICT)
+    with split_into(2, min_bytes=64):
+        assert len(ranges.plan_ranges(src, 2)) == 2
+        table, report = ranges.fold_file(src, fold)
+    assert (report.accepted, len(table)) == (400, 150)
+    assert_tally_types(table)
+    assert _no_children_left()
 
 
 def test_one_cpu_never_forks(tmp_path):
