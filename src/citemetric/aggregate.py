@@ -118,20 +118,21 @@ def write_tally_csv(table: TallyTable, out: IO[str]) -> None:
     """Serialize a table as CSV, rows in ascending journal-key order.
 
     Columns: journal,supporting,disputing,mentioning,total with total the row
-    sum. Sorted output makes identical tables byte-identical files. A key is
-    quoted only when it holds a comma, a double quote, CR or LF, and its
-    double quotes are doubled: for every key without a CR, the bytes
+    sum. Sorted output makes identical tables byte-identical files. Keys are
+    quoted by :func:`csv_field`: for every key without a CR, the bytes
     ``csv.writer`` writes. Rows are formatted here because ``csv.writer``'s
     per-row cost was most of the write on a wide table.
     """
     out.write(",".join(TALLY_HEADER) + "\n")
     keys = sorted(table)  # sorting bare str keys is much faster than sorting items
     out.writelines(
-        f"{_csv_field(key)},{s},{d},{m},{s + d + m}\n" for key, (s, d, m) in zip(keys, map(table.__getitem__, keys))
+        f"{csv_field(key)},{s},{d},{m},{s + d + m}\n" for key, (s, d, m) in zip(keys, map(table.__getitem__, keys))
     )
 
 
-def _csv_field(text: str) -> str:
+def csv_field(text: str) -> str:
+    """A key as a CSV field: quoted only when it holds a comma, a double
+    quote, CR or LF, with its double quotes doubled."""
     if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -161,16 +162,19 @@ def _read_tally_rows(reader: Iterator[list[str]]) -> TallyTable:
         )
     table: TallyTable = {}
     for rownum, row in enumerate(reader, start=2):
-        if len(row) != len(TALLY_HEADER):
-            raise MalformedLineError(f"row {rownum}: expected {len(TALLY_HEADER)} fields, got {len(row)}")
-        raw_key, *fields = row
+        try:
+            raw_key, s, d, m, total = row
+        except ValueError:
+            raise MalformedLineError(f"row {rownum}: expected {len(TALLY_HEADER)} fields, got {len(row)}") from None
         # Counts are ASCII decimal digits only, as written: int() alone would
-        # also take " 5", "+1", "1_0" and non-ASCII digits.
-        if not (all(map(str.isdigit, fields)) and all(map(str.isascii, fields))):
-            bad = next(x for x in fields if not (x.isascii() and x.isdigit()))
+        # also take " 5", "+1", "1_0" and non-ASCII digits. An empty count
+        # would vanish from the concatenation, so it is tested first.
+        digits = s + d + m + total
+        if not (s and d and m and total and digits.isdigit() and digits.isascii()):
+            bad = next(x for x in (s, d, m, total) if not (x.isascii() and x.isdigit()))
             raise MalformedLineError(f"row {rownum}: invalid count {bad!r}")
         try:
-            s, d, m, total = map(int, fields)
+            s, d, m, total = int(s), int(d), int(m), int(total)
             key = normalize_journal_key(raw_key)
             tally = JournalTally(s, d, m)
         except (ValueError, EmptyKeyError) as exc:

@@ -240,6 +240,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise MalformedLineError(f"{args.tally}: {exc}") from None
     config = MetricsConfig(args.min_citations, args.min_classified)
     metrics = build_metrics_table(table, config)
+    del table  # the metrics hold every tally; freeing the dict lowers the peak
     eligible_si = [m.scite_index for m in metrics if m.eligible]
     summaries = {
         "supporting": summarize([m.tally.supporting for m in metrics], "supporting"),
@@ -252,16 +253,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with _atomic_write(outdir / "metrics.csv") as fh:
-        write_metrics_csv(metrics, fh)
-    with _atomic_write(outdir / "summary.json") as fh:
-        write_summary_json(summaries, fh)
-    with _atomic_write(outdir / "correlations.json") as fh:
-        write_correlations_json(correlations, fh)
-    with _atomic_write(outdir / "si_histogram.csv") as fh:
-        write_histogram_csv(si_histogram, fh)
-    with _atomic_write(outdir / "si_scatter.csv") as fh:
-        write_scatter_csv(points, fh)
+    artifacts = (
+        ("metrics.csv", write_metrics_csv, metrics),
+        ("summary.json", write_summary_json, summaries),
+        ("correlations.json", write_correlations_json, correlations),
+        ("si_histogram.csv", write_histogram_csv, si_histogram),
+        ("si_scatter.csv", write_scatter_csv, points),
+    )
+    # All five temporary files are written and closed before the first is
+    # renamed, so a failed write leaves every previous artifact in place.
+    with contextlib.ExitStack() as stack:
+        for name, write, data in artifacts:
+            fh = stack.enter_context(_atomic_write(outdir / name))
+            write(data, fh)
+            fh.close()
     return EXIT_OK
 
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 from typing import IO, Iterable
 
+from .aggregate import csv_field
 from .errors import UndefinedIndexError
 from .model import JournalKey, JournalMetrics, JournalTally, MetricsConfig
 
@@ -28,10 +28,11 @@ def scite_index(tally: JournalTally) -> float:
     The mentioning count has no effect. Raises UndefinedIndexError when there
     are no classified citations (zero denominator).
     """
-    classified = tally.supporting + tally.disputing
+    s, d, _ = tally
+    classified = s + d
     if classified == 0:
         raise UndefinedIndexError("scite index undefined with no classified citations")
-    return tally.supporting / classified
+    return s / classified
 
 
 def evaluate_journal(
@@ -44,10 +45,8 @@ def evaluate_journal(
     Eligible means total() strictly exceeds ``min_total_citations`` and
     classified() is at least ``min_classified``.
     """
-    eligible = (
-        tally.total() > config.min_total_citations
-        and tally.classified() >= config.min_classified
-    )
+    s, d, m = tally
+    eligible = s + d + m > config.min_total_citations and s + d >= config.min_classified
     return JournalMetrics(journal, tally, scite_index(tally) if eligible else None, eligible)
 
 
@@ -60,20 +59,16 @@ def build_metrics_table(
 
 
 def write_metrics_csv(metrics: Iterable[JournalMetrics], out: IO[str]) -> None:
-    """Serialize the metrics table; scite_index is 4-decimal, empty when absent."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(METRICS_HEADER)
-    for m in metrics:
-        t = m.tally
-        writer.writerow(
-            (
-                m.journal,
-                t.supporting,
-                t.disputing,
-                t.mentioning,
-                t.total(),
-                t.classified(),
-                "true" if m.eligible else "false",
-                "" if m.scite_index is None else f"{m.scite_index:.4f}",
-            )
-        )
+    """Serialize the metrics table; scite_index is 4-decimal, empty when absent.
+
+    The journal is quoted as in the tally CSV (:func:`.aggregate.csv_field`),
+    so the bytes are those ``csv.writer`` writes for every key without a CR,
+    which a normalized key never holds. Rows are formatted here because
+    ``csv.writer``'s per-row cost was most of the write on a wide table.
+    """
+    out.write(",".join(METRICS_HEADER) + "\n")
+    write = out.write
+    for row in metrics:
+        s, d, m = row.tally
+        index = f"true,{row.scite_index:.4f}" if row.eligible else "false,"
+        write(f"{csv_field(row.journal)},{s},{d},{m},{s + d + m},{s + d},{index}\n")

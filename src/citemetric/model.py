@@ -48,7 +48,7 @@ def normalize_journal_key(raw: str) -> JournalKey:
         EmptyKeyError: if nothing remains after normalization.
     """
     s = raw.strip()
-    if _ISSN_FORM.fullmatch(s):
+    if len(s) == 9 and _ISSN_FORM.fullmatch(s):  # the form has exactly 9 characters
         return s.upper()
     s = " ".join(s.split()).casefold()
     if not s:

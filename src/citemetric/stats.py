@@ -2,7 +2,8 @@
 
 All reductions go through ``math.fsum`` (exactly rounded summation), so
 results are bit-identical across runs and safe on counts spanning many orders
-of magnitude.
+of magnitude. Terms are streamed into ``fsum`` through ``map``, so no column
+of deviations is ever stored.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import asdict
+from itertools import repeat
+from operator import mul, sub
 from typing import IO, Sequence
 
 from .errors import (
@@ -54,8 +57,8 @@ def sample_sd(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise InsufficientDataError(f"sample sd needs at least 2 values, got {n}")
-    m = math.fsum(xs) / n
-    return math.sqrt(math.fsum((x - m) ** 2 for x in xs) / (n - 1))
+    _, ss = _centre(xs)
+    return math.sqrt(ss / (n - 1))
 
 
 def skewness(xs: Sequence[float]) -> float:
@@ -68,11 +71,26 @@ def skewness(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 3:
         raise InsufficientDataError(f"skewness needs at least 3 values, got {n}")
-    m = math.fsum(xs) / n
-    m2 = math.fsum((x - m) ** 2 for x in xs) / n
-    if m2 == 0.0:
+    skew = _skew(xs, *_centre(xs))
+    if skew is None:
         raise ZeroVarianceError("skewness undefined on a constant sequence")
-    m3 = math.fsum((x - m) ** 3 for x in xs) / n
+    return skew
+
+
+def _centre(xs: Sequence[float]) -> tuple[float, float]:
+    """The mean fsum(xs)/n and the sum of squared deviations from it."""
+    m = math.fsum(xs) / len(xs)
+    return m, math.fsum(map(pow, map(sub, xs, repeat(m)), repeat(2)))
+
+
+def _skew(xs: Sequence[float], m: float, ss: float) -> float | None:
+    """G1 of at least 3 values with mean ``m`` and squared deviations summing
+    to ``ss``; None when they are constant."""
+    n = len(xs)
+    m2 = ss / n
+    if m2 == 0.0:
+        return None
+    m3 = math.fsum(map(pow, map(sub, xs, repeat(m)), repeat(3))) / n
     magnitude = math.sqrt(n * (n - 1) * m3 * m3 / (m2 * m2 * m2)) / (n - 2)
     return math.copysign(magnitude, m3)
 
@@ -84,13 +102,11 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise LengthMismatchError(f"length mismatch: {n} vs {len(ys)}")
     if n < 2:
         raise InsufficientDataError(f"correlation needs at least 2 pairs, got {n}")
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
+    mx, sxx = _centre(xs)
+    my, syy = _centre(ys)
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVarianceError("correlation undefined on a constant sequence")
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    sxy = math.fsum(map(mul, map(sub, xs, repeat(mx)), map(sub, ys, repeat(my))))
     return min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy)))
 
 
@@ -103,28 +119,32 @@ def summarize(values: Sequence[float], label: str = "values") -> StatsSummary:
     n = len(values)
     if n < 2:
         raise InsufficientDataError(f"{label}: summary needs at least 2 values, got {n}")
-    try:
-        skew = skewness(values)
-    except (InsufficientDataError, ZeroVarianceError):
-        skew = None
+    m, ss = _centre(values)
+    skew = _skew(values, m, ss) if n >= 3 else None
     lo = float(min(values))
     hi = float(max(values))
     # fsum is exact but the final division can land one ulp outside the data
     # range; clamp so min <= mean <= max holds.
-    avg = min(hi, max(lo, mean(values)))
-    return StatsSummary(n, avg, median(values), sample_sd(values), skew, lo, hi)
+    avg = min(hi, max(lo, m))
+    return StatsSummary(n, avg, median(values), math.sqrt(ss / (n - 1)), skew, lo, hi)
 
 
 def correlation_report(metrics: Sequence[JournalMetrics]) -> CorrelationReport:
     """Correlate supporting/disputing (all journals) and scite index
     (eligible journals only) against total citations."""
-    totals = [m.tally.total() for m in metrics]
-    eligible = [m for m in metrics if m.eligible]
-    si = [m.scite_index for m in eligible]
-    eligible_totals = [m.tally.total() for m in eligible]
+    supporting, disputing, totals, si, eligible_totals = [], [], [], [], []
+    for m in metrics:
+        s, d, n = m.tally
+        total = s + d + n
+        supporting.append(s)
+        disputing.append(d)
+        totals.append(total)
+        if m.eligible:
+            si.append(m.scite_index)
+            eligible_totals.append(total)
     return CorrelationReport(
-        _corr([m.tally.supporting for m in metrics], totals, "supporting vs total"),
-        _corr([m.tally.disputing for m in metrics], totals, "disputing vs total"),
+        _corr(supporting, totals, "supporting vs total"),
+        _corr(disputing, totals, "disputing vs total"),
         _corr(si, eligible_totals, "scite index vs total"),
     )
 

@@ -265,6 +265,30 @@ class TestTallyCsv:
             read_tally_csv([header, row])
         assert str(exc.value) == f"row 2: invalid count {field!r}"
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (f"  ,{2**64},0,0,{2**64}\n", "journal key is empty after normalization"),
+            ("a,1,2,3,007\n", "total 7 != 6"),
+            ("a,x,2,3\n", "expected 5 fields, got 4"),
+            (f"a,{2**64},0,0,{2**64}\n", f"supporting count {2**64} outside [0, 2**64 - 1]"),
+            (
+                " ,1,2,3," + "9" * 5000 + "\n",
+                "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+                "use sys.set_int_max_str_digits() to increase the limit",
+            ),
+        ],
+        ids=["empty-key-before-range", "total", "field-count", "range", "int-digit-limit-before-key"],
+    )
+    def test_read_message_and_which_fault_wins(self, row, message):
+        # The checks run in a fixed order: field count, count syntax, int(),
+        # key normalization, the count range, the total, duplicates. A row
+        # with two faults is named by the first check it fails.
+        header = ",".join(TALLY_HEADER) + "\n"
+        with pytest.raises(MalformedLineError) as exc:
+            read_tally_csv([header, "good,1,2,3,6\n", row])
+        assert str(exc.value) == f"row 3: {message}"
+
     def test_read_rejects_duplicate_journal(self):
         header = ",".join(TALLY_HEADER) + "\n"
         with pytest.raises(MalformedLineError, match="duplicate"):

@@ -1,9 +1,11 @@
 import contextlib
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
+import random
 import signal
 import stat
 import subprocess
@@ -326,6 +328,50 @@ class TestReport:
 ARTIFACTS = ("metrics.csv", "summary.json", "correlations.json", "si_histogram.csv", "si_scatter.csv")
 
 
+def write_pinned_tally(path: Path, journals: int = 3000) -> Path:
+    """A seeded tally: raw keys with commas, quotes, spacing and case to
+    normalize, ISSN forms with a lowercase check digit, eligible and
+    ineligible journals, journals with no disputing citation (the SI = 1.0
+    atom) and a few counts near 2**64."""
+    rnd = random.Random(20210)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("journal", "supporting", "disputing", "mentioning", "total"))
+        for i in range(journals):
+            kind = i % 4
+            if kind == 0:
+                key = f"{i:04d}-{rnd.randrange(1000):03d}{rnd.choice('0123456789Xx')}"
+            elif kind == 1:
+                key = f' Annals of "Applied", Series  {i} '
+            else:
+                key = f"{rnd.choice(('Journal', 'REVIEW', 'letters'))}\t{i}, part {rnd.randrange(9)}"
+            if i % 500 == 7:
+                s, d, m = (rnd.randrange(2**62, 2**63) for _ in range(3))
+            elif kind == 3:  # eligible at the default threshold
+                s, d, m = rnd.randrange(1, 5000), rnd.randrange(3) * rnd.randrange(400), rnd.randrange(2000)
+            else:
+                s, d, m = rnd.randrange(60), rnd.randrange(20), rnd.randrange(30)
+            writer.writerow((key, s, d, m, s + d + m))
+    return path
+
+
+class TestPinnedReport:
+    #: sha256 of each artifact of ``report`` on :func:`write_pinned_tally`'s tally.
+    DIGESTS = {
+        "metrics.csv": "fa57c8f571b0bc0212a44ee42a585ff2021e0b9c552005d9af3884ee5c3f6edf",
+        "summary.json": "f532a4696bf56961cc74e5d5c772ba24323fc84d75b953386a9004e59ef9c4f9",
+        "correlations.json": "69edcab4a50dee94514df2efad4a47cad9c99f8aa9c6a0fff0c58633e041f96f",
+        "si_histogram.csv": "f7f5f8f7206dbd7c0a88f15580abbf120a40900c8cf6e409b974b4961f19bc6c",
+        "si_scatter.csv": "f20c2c7a90e5e400512b0e5196a32e2e00aea1ce7e496368b3017649cce3c74f",
+    }
+
+    def test_artifact_bytes(self, tmp_path):
+        tally = write_pinned_tally(tmp_path / "t.csv")
+        assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_OK
+        got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in ARTIFACTS}
+        assert got == self.DIGESTS
+
+
 class TestAtomicWrites:
     @staticmethod
     def failing(real):
@@ -355,11 +401,32 @@ class TestAtomicWrites:
         tally = make_tally(tmp_path / "t.csv", TestReport.ROWS)
         monkeypatch.setattr(cli, "write_histogram_csv", self.failing(cli.write_histogram_csv))
         assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_IO
-        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-            "correlations.json",
-            "metrics.csv",
-            "summary.json",
-        ]
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("k", range(1, len(ARTIFACTS) + 1))
+    def test_failed_artifact_write_keeps_every_old_artifact(self, tmp_path, monkeypatch, capsys, k):
+        tally = make_tally(tmp_path / "t.csv", TestReport.ROWS)
+        out = tmp_path / "out"
+        out.mkdir()
+        old = {name: f"old {name}\n".encode() for name in ARTIFACTS}
+        for name, body in old.items():
+            (out / name).write_bytes(body)
+        real = cli._atomic_write
+        opened = []
+
+        @contextlib.contextmanager
+        def full_on_the_kth(path):
+            opened.append(path)
+            with real(path) as fh:
+                if len(opened) == k:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                yield fh
+
+        monkeypatch.setattr(cli, "_atomic_write", full_on_the_kth)
+        assert run(["report", str(tally), "-o", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == "citemetric: error: [Errno 28] No space left on device\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "t.csv"]
 
     def test_mode_bits_are_those_of_a_plain_open(self, tmp_path):
         src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
@@ -663,7 +730,7 @@ cli.write_histogram_csv = write
         out = tmp_path / "out"
         code, err, _ = self.terminate_when_ready(["report", tally, "-o", out], self.REPORT)
         assert (code, err) == (EXIT_INTERRUPTED, "citemetric: interrupted\n")
-        assert sorted(p.name for p in out.iterdir()) == ["correlations.json", "metrics.csv", "summary.json"]
+        assert list(out.iterdir()) == []
 
     def test_synth_leaves_no_temporary_file(self, tmp_path):
         proc = subprocess.Popen(

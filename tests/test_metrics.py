@@ -1,20 +1,25 @@
+import csv
 import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_scite_index
 
 from citemetric.errors import UndefinedIndexError
 from citemetric.metrics import (
+    METRICS_HEADER,
     build_metrics_table,
     evaluate_journal,
     scite_index,
     write_metrics_csv,
 )
-from citemetric.model import JournalTally, MetricsConfig
+from citemetric.model import U64_MAX, JournalTally, MetricsConfig
+
+counts = st.integers(0, U64_MAX)
+small = st.integers(0, 200)
 
 
 class TestSciteIndex:
@@ -112,3 +117,35 @@ class TestMetricsTable:
         buf = io.StringIO()
         write_metrics_csv(build_metrics_table(table), buf)
         assert ",0.6667\n" in buf.getvalue()
+
+    @given(
+        st.dictionaries(
+            # Keys with a CR are left out: csv.writer quotes them only from
+            # Python 3.13. NUL is left out: it writes one only from 3.11.
+            st.text(st.sampled_from(',"') | st.characters(blacklist_characters="\r\n\x00"), max_size=10),
+            st.builds(JournalTally, counts, counts, counts) | st.builds(JournalTally, small, small, small),
+            max_size=8,
+        ),
+        # Thresholds on both sides of small and of huge totals, so rows come
+        # out eligible and ineligible.
+        small | st.integers(0, 2 * U64_MAX),
+    )
+    @settings(max_examples=200)
+    def test_csv_equals_csv_writer(self, table, min_total):
+        metrics = build_metrics_table(table, MetricsConfig(min_total, 1))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(METRICS_HEADER)
+        for m in metrics:
+            t = m.tally
+            si = "" if m.scite_index is None else f"{m.scite_index:.4f}"
+            row = (m.journal, *t, t.total(), t.classified(), "true" if m.eligible else "false", si)
+            writer.writerow(row)
+        got = io.StringIO()
+        write_metrics_csv(metrics, got)
+        assert got.getvalue() == want.getvalue()
+
+    def test_csv_quotes_a_key_with_a_cr(self):
+        buf = io.StringIO()
+        write_metrics_csv(build_metrics_table({'a\rb "c"': JournalTally(1, 2, 3)}), buf)
+        assert buf.getvalue() == ",".join(METRICS_HEADER) + '\n"a\rb ""c""",1,2,3,6,3,false,\n'

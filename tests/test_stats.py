@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import stats_reference
 
 from citemetric.errors import (
     EmptyInputError,
@@ -17,7 +18,7 @@ from citemetric.errors import (
     ZeroVarianceError,
 )
 from citemetric.metrics import build_metrics_table
-from citemetric.model import JournalTally
+from citemetric.model import U64_MAX, JournalTally
 from citemetric.stats import (
     correlation_report,
     histogram,
@@ -79,6 +80,43 @@ class TestKernelsAgainstOracles:
             except ZeroDivisionError:
                 continue
             assert pearson(xs, ys) == pytest.approx(expected, abs=1e-9)
+
+
+def _vectors(n):
+    """n ints up to 2**64 - 1 or n floats in [0, 1], either possibly constant."""
+    return st.one_of(
+        *(
+            st.lists(elements, min_size=n, max_size=n) | elements.map(lambda x: [x] * n)
+            for elements in (st.integers(0, U64_MAX), st.floats(0.0, 1.0))
+        )
+    )
+
+
+sizes = st.integers(2, 30) | st.sampled_from([2, 3])
+
+
+def _outcome(fn, *args):
+    """repr of the result, which tells every float apart (-0.0 too), or the
+    error's type and message."""
+    try:
+        return repr(fn(*args))
+    except (InsufficientDataError, ZeroVarianceError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSameBitsAsGeneratorExpressions:
+    @given(sizes.flatmap(_vectors))
+    @settings(max_examples=300)
+    def test_one_column(self, xs):
+        for kernel in (summarize, sample_sd, skewness):
+            reference = getattr(stats_reference, kernel.__name__)
+            assert _outcome(kernel, xs) == _outcome(reference, xs), kernel.__name__
+
+    @given(sizes.flatmap(lambda n: st.tuples(_vectors(n), _vectors(n))))
+    @settings(max_examples=300)
+    def test_pearson(self, pair):
+        xs, ys = pair
+        assert _outcome(pearson, xs, ys) == _outcome(stats_reference.pearson, xs, ys)
 
 
 class TestPinnedValues:
