@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 from functools import reduce
+from itertools import chain, islice, repeat
+from operator import add
 from typing import IO, Iterable, Iterator
 
 from .errors import ArithmeticOverflowError, EmptyKeyError, MalformedLineError
@@ -33,6 +35,9 @@ _IDX = {
 }
 #: Each class's one-hot (supporting, disputing, mentioning) row.
 _ONE = {klass: tuple(int(i == j) for j in range(3)) for klass, i in _IDX.items()}
+
+#: Most tally-CSV rows read and checked together.
+_CHUNK_ROWS = 512
 
 
 def empty_tally() -> JournalTally:
@@ -161,7 +166,55 @@ def _read_tally_rows(reader: Iterator[list[str]]) -> TallyTable:
             f"expected tally header {','.join(TALLY_HEADER)!r}, got {','.join(header)!r}"
         )
     table: TallyTable = {}
-    for rownum, row in enumerate(reader, start=2):
+    rows: list[list[str]] = []
+    rownum = 2
+    while True:
+        try:
+            rows.extend(islice(reader, _CHUNK_ROWS))
+        finally:
+            # Whatever stops the read, the rows read before it are checked
+            # first, so a bad one among them is named, as row by row.
+            if not _add_columns(table, rows):
+                _add_rows(table, rows, rownum)
+        if len(rows) < _CHUNK_ROWS:
+            return table
+        rownum += len(rows)
+        rows.clear()
+
+
+def _add_columns(table: TallyTable, rows: list[list[str]]) -> bool:
+    """Add the rows to the table if they pass every check of :func:`_add_rows`,
+    made a column at a time by C-level passes (only normalize_journal_key
+    runs Python code per row). Otherwise return False and leave the table
+    unchanged."""
+    if set(map(len, rows)) != {len(TALLY_HEADER)}:
+        return False
+    raw_keys, *count_columns = zip(*rows)
+    digits = "".join(chain.from_iterable(count_columns))
+    if not (digits.isdigit() and digits.isascii()):
+        return False
+    try:  # int() also refuses an empty count, which the join hid
+        s, d, m, total = (list(map(int, column)) for column in count_columns)
+        keys = list(map(normalize_journal_key, raw_keys))
+    except (ValueError, EmptyKeyError):
+        return False
+    if (
+        max(max(s), max(d), max(m)) > U64_MAX
+        or list(map(add, map(add, s, d), m)) != total
+        or len(set(keys)) < len(keys)
+        or not table.keys().isdisjoint(keys)
+    ):
+        return False
+    # Every count is a checked int in [0, 2**64 - 1], so the tallies are
+    # built without JournalTally's check.
+    table.update(zip(keys, map(tuple.__new__, repeat(JournalTally), zip(s, d, m))))
+    return True
+
+
+def _add_rows(table: TallyTable, rows: list[list[str]], start: int) -> None:
+    """Check and add the rows one at a time, ``start`` being the first's row
+    number; the only code that words a tally-CSV error."""
+    for rownum, row in enumerate(rows, start=start):
         try:
             raw_key, s, d, m, total = row
         except ValueError:
@@ -184,4 +237,3 @@ def _read_tally_rows(reader: Iterator[list[str]]) -> TallyTable:
         if key in table:
             raise MalformedLineError(f"row {rownum}: duplicate journal {key!r}")
         table[key] = tally
-    return table

@@ -241,12 +241,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
     config = MetricsConfig(args.min_citations, args.min_classified)
     metrics = build_metrics_table(table, config)
     del table  # the metrics hold every tally; freeing the dict lowers the peak
-    eligible_si = [m.scite_index for m in metrics if m.eligible]
+    supporting, disputing, eligible_si = [], [], []
+    for _, (s, d, _), index, eligible in metrics:
+        supporting.append(s)
+        disputing.append(d)
+        if eligible:
+            eligible_si.append(index)
     summaries = {
-        "supporting": summarize([m.tally.supporting for m in metrics], "supporting"),
-        "disputing": summarize([m.tally.disputing for m in metrics], "disputing"),
+        "supporting": summarize(supporting, "supporting"),
+        "disputing": summarize(disputing, "disputing"),
         "scite_index": summarize(eligible_si, "scite_index"),
     }
+    del supporting, disputing  # as for table: only the summaries are needed
     correlations = correlation_report(metrics)
     si_histogram = histogram(eligible_si, 0.0, 1.0, SI_HISTOGRAM_BINS)
     points = scatter_points(metrics)

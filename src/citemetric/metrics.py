@@ -46,8 +46,11 @@ def evaluate_journal(
     classified() is at least ``min_classified``.
     """
     s, d, m = tally
-    eligible = s + d + m > config.min_total_citations and s + d >= config.min_classified
-    return JournalMetrics(journal, tally, scite_index(tally) if eligible else None, eligible)
+    if s + d + m > config.min_total_citations and s + d >= config.min_classified:
+        return JournalMetrics(journal, tally, scite_index(tally), True)
+    # An ineligible row, with no index, holds JournalMetrics' invariant by
+    # construction, so it skips the check.
+    return tuple.__new__(JournalMetrics, (journal, tally, None, False))
 
 
 def build_metrics_table(
@@ -68,7 +71,6 @@ def write_metrics_csv(metrics: Iterable[JournalMetrics], out: IO[str]) -> None:
     """
     out.write(",".join(METRICS_HEADER) + "\n")
     write = out.write
-    for row in metrics:
-        s, d, m = row.tally
-        index = f"true,{row.scite_index:.4f}" if row.eligible else "false,"
-        write(f"{csv_field(row.journal)},{s},{d},{m},{s + d + m},{s + d},{index}\n")
+    for journal, (s, d, m), si, eligible in metrics:
+        index = f"true,{si:.4f}" if eligible else "false,"
+        write(f"{csv_field(journal)},{s},{d},{m},{s + d + m},{s + d},{index}\n")

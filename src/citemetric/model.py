@@ -139,20 +139,39 @@ class MetricsConfig:
             raise ValueError("min_classified must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class JournalMetrics:
-    """A journal's tally plus its scite index when the journal is eligible."""
+class _MetricsFields(NamedTuple):
+    """The fields of :class:`JournalMetrics`, which adds the checks."""
 
     journal: JournalKey
     tally: JournalTally
     scite_index: float | None
     eligible: bool
 
-    def __post_init__(self) -> None:
-        if self.eligible != (self.scite_index is not None):
+
+class JournalMetrics(_MetricsFields):
+    """A journal's tally plus its scite index when the journal is eligible.
+
+    An immutable named ``(journal, tally, scite_index, eligible)`` tuple, so
+    it equals the plain tuple of its fields. Every public way to build one
+    checks that the index is present exactly when the journal is eligible,
+    and lies in [0, 1].
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, journal: JournalKey, tally: JournalTally, scite_index: float | None, eligible: bool
+    ) -> JournalMetrics:
+        if eligible != (scite_index is not None):
             raise ValueError("scite_index must be present exactly when eligible")
-        if self.scite_index is not None and not 0.0 <= self.scite_index <= 1.0:
-            raise ValueError(f"scite_index {self.scite_index} outside [0, 1]")
+        if scite_index is not None and not 0.0 <= scite_index <= 1.0:
+            raise ValueError(f"scite_index {scite_index} outside [0, 1]")
+        return tuple.__new__(cls, (journal, tally, scite_index, eligible))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> JournalMetrics:
+        # NamedTuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True)

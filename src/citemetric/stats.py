@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import asdict
 from itertools import repeat
 from operator import mul, sub
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from .errors import (
     EmptyInputError,
@@ -31,6 +32,10 @@ SCATTER_HEADER = ("journal", "log10_total", "scite_index")
 
 #: Default binning for the scite-index distribution: 0.02-wide bins over [0, 1].
 SI_HISTOGRAM_BINS = 50
+
+#: The smallest positive normal float; a product of moments below it has
+#: lost precision or underflowed to 0.
+_MIN_NORMAL = sys.float_info.min
 
 
 def mean(xs: Sequence[float]) -> float:
@@ -78,9 +83,22 @@ def skewness(xs: Sequence[float]) -> float:
 
 
 def _centre(xs: Sequence[float]) -> tuple[float, float]:
-    """The mean fsum(xs)/n and the sum of squared deviations from it."""
-    m = math.fsum(xs) / len(xs)
+    """The mean fsum(xs)/n and the sum of squared deviations from it, which
+    is 0.0 when every value is equal."""
+    n = len(xs)
+    m = math.fsum(xs) / n
+    if xs.count(xs[0]) == n:
+        # fsum(xs)/n can miss a constant by an ulp, which would leave
+        # nonzero deviations.
+        return m, 0.0
     return m, math.fsum(map(pow, map(sub, xs, repeat(m)), repeat(2)))
+
+
+def _scaled_deviations(xs: Sequence[float], m: float) -> Iterator[float]:
+    """The deviations from ``m``, each times the one power of two that puts
+    the largest in [0.5, 1), so that their powers cannot underflow."""
+    k = -math.frexp(max(map(abs, map(sub, xs, repeat(m)))))[1]
+    return map(math.ldexp, map(sub, xs, repeat(m)), repeat(k))
 
 
 def _skew(xs: Sequence[float], m: float, ss: float) -> float | None:
@@ -90,7 +108,13 @@ def _skew(xs: Sequence[float], m: float, ss: float) -> float | None:
     m2 = ss / n
     if m2 == 0.0:
         return None
-    m3 = math.fsum(map(pow, map(sub, xs, repeat(m)), repeat(3))) / n
+    if m2 * m2 * m2 < _MIN_NORMAL:
+        # G1 does not change when the data are scaled.
+        m2 = math.fsum(map(pow, _scaled_deviations(xs, m), repeat(2))) / n
+        deviations = _scaled_deviations(xs, m)
+    else:
+        deviations = map(sub, xs, repeat(m))
+    m3 = math.fsum(map(pow, deviations, repeat(3))) / n
     magnitude = math.sqrt(n * (n - 1) * m3 * m3 / (m2 * m2 * m2)) / (n - 2)
     return math.copysign(magnitude, m3)
 
@@ -102,11 +126,25 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise LengthMismatchError(f"length mismatch: {n} vs {len(ys)}")
     if n < 2:
         raise InsufficientDataError(f"correlation needs at least 2 pairs, got {n}")
-    mx, sxx = _centre(xs)
-    my, syy = _centre(ys)
+    return _pearson(xs, _centre(xs), ys, _centre(ys))
+
+
+def _pearson(
+    xs: Sequence[float], centre_x: tuple[float, float], ys: Sequence[float], centre_y: tuple[float, float]
+) -> float:
+    """:func:`pearson` of two columns of at least 2 values each, given their
+    :func:`_centre`, so a column shared by two correlations is centred once."""
+    (mx, sxx), (my, syy) = centre_x, centre_y
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVarianceError("correlation undefined on a constant sequence")
-    sxy = math.fsum(map(mul, map(sub, xs, repeat(mx)), map(sub, ys, repeat(my))))
+    if sxx * syy < _MIN_NORMAL:
+        # r does not change when either column is scaled.
+        sxx = math.fsum(map(pow, _scaled_deviations(xs, mx), repeat(2)))
+        syy = math.fsum(map(pow, _scaled_deviations(ys, my), repeat(2)))
+        dx, dy = _scaled_deviations(xs, mx), _scaled_deviations(ys, my)
+    else:
+        dx, dy = map(sub, xs, repeat(mx)), map(sub, ys, repeat(my))
+    sxy = math.fsum(map(mul, dx, dy))
     return min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy)))
 
 
@@ -133,25 +171,34 @@ def correlation_report(metrics: Sequence[JournalMetrics]) -> CorrelationReport:
     """Correlate supporting/disputing (all journals) and scite index
     (eligible journals only) against total citations."""
     supporting, disputing, totals, si, eligible_totals = [], [], [], [], []
-    for m in metrics:
-        s, d, n = m.tally
+    for _, (s, d, n), index, eligible in metrics:
         total = s + d + n
         supporting.append(s)
         disputing.append(d)
         totals.append(total)
-        if m.eligible:
-            si.append(m.scite_index)
+        if eligible:
+            si.append(index)
             eligible_totals.append(total)
+    # Both all-journal coefficients share the totals' centre; with fewer
+    # than 2 journals, pearson words the error.
+    centre = _centre(totals) if len(totals) >= 2 else None
     return CorrelationReport(
-        _corr(supporting, totals, "supporting vs total"),
-        _corr(disputing, totals, "disputing vs total"),
+        _corr(supporting, totals, "supporting vs total", centre),
+        _corr(disputing, totals, "disputing vs total", centre),
         _corr(si, eligible_totals, "scite index vs total"),
     )
 
 
-def _corr(xs: Sequence[float], ys: Sequence[float], name: str) -> float:
+def _corr(
+    xs: Sequence[float], ys: Sequence[float], name: str, centre_y: tuple[float, float] | None = None
+) -> float:
+    """pearson(xs, ys), its errors named ``name``; ``centre_y``, when given,
+    is ys's :func:`_centre`, and both columns hold the same number (>= 2) of
+    values."""
     try:
-        return pearson(xs, ys)
+        if centre_y is None:
+            return pearson(xs, ys)
+        return _pearson(xs, _centre(xs), ys, centre_y)
     except (InsufficientDataError, ZeroVarianceError) as exc:
         raise type(exc)(f"{name}: {exc}") from None
 

@@ -2,11 +2,13 @@ import csv
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tally_reference
 from conftest import assert_tally_types, make_records, tallies, tally_tables
 
+from citemetric import aggregate
 from citemetric.aggregate import (
     TALLY_HEADER,
     add_counts,
@@ -298,3 +300,90 @@ class TestTallyCsv:
         header = ",".join(TALLY_HEADER) + "\n"
         table = read_tally_csv([header, "  Nature Medicine ,1,2,3,6\n"])
         assert table == {"nature medicine": JournalTally(1, 2, 3)}
+
+
+CHUNK = aggregate._CHUNK_ROWS
+TALLY_HEAD = ",".join(TALLY_HEADER) + "\n"
+
+#: Row ``i`` of a tally CSV for each kind of row, the faulty ones named by
+#: the check they fail. "source" is not a row: the source raises there.
+TALLY_ROWS = {
+    "good": lambda i: f"k{i},{i % 7},{i % 3},{i % 5},{i % 7 + i % 3 + i % 5}\n",
+    "unnormalized": lambda i: f"  K{i}  x ,1,2,3,6\n",
+    "quoted": lambda i: f'"k{i}, ""q""",1,0,0,1\n',
+    "blank": lambda i: "\n",
+    "few-fields": lambda i: f"k{i},1,2,3\n",
+    "many-fields": lambda i: f"k{i},1,2,3,6,0\n",
+    "sign": lambda i: f"k{i},1,+2,3,6\n",
+    "empty-count": lambda i: f"k{i},1,,3,4\n",
+    "non-ascii-digit": lambda i: f"k{i},1,2,\u0663,6\n",
+    "digit-limit": lambda i: f"k{i},1,2,3," + "9" * 5000 + "\n",
+    "empty-key": lambda i: " \t,1,2,3,6\n",
+    "range": lambda i: f"k{i},{2**64},0,0,{2**64}\n",
+    "total": lambda i: f"k{i},1,2,3,7\n",
+    "duplicate": lambda i: f" K{i // 2} ,1,0,0,1\n",
+    "duplicate-later": lambda i: f"k{i + 3},0,0,1,1\n",
+    "csv-error": lambda i: f"k{i}\r,1,2,3,6\n",
+    "source": None,
+}
+
+
+def tally_lines(rows: int, placed: dict[int, str]):
+    """The lines of a tally CSV of ``rows`` data rows, good except where
+    ``placed`` puts another kind; a "source" fault raises from the source."""
+    yield TALLY_HEAD
+    for i in range(rows):
+        kind = placed.get(i, "good")
+        if kind == "source":
+            raise MalformedLineError(f"source fails before row {i + 2}")
+        yield TALLY_ROWS[kind](i)
+
+
+def read_outcome(read, rows, placed):
+    try:
+        return read(tally_lines(rows, placed)), None
+    except MalformedLineError as exc:
+        return None, str(exc)
+
+
+#: Row indexes at chunk starts and ends, and either side of each boundary.
+near_boundaries = st.sampled_from(sorted({max(0, k * CHUNK + o) for k in range(4) for o in range(-2, 3)}))
+
+
+class TestChunkedRead:
+    @given(
+        st.integers(0, 3 * CHUNK + 3),
+        st.dictionaries(
+            near_boundaries | st.integers(0, 3 * CHUNK), st.sampled_from(sorted(TALLY_ROWS)), max_size=4
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(CHUNK + 20, {CHUNK + 3: "total", CHUNK + 10: "csv-error"})
+    @example(CHUNK + 20, {CHUNK + 3: "empty-key", CHUNK + 10: "source"})
+    @example(2 * CHUNK, {CHUNK - 1: "csv-error", CHUNK: "range"})
+    @example(2 * CHUNK, {CHUNK - 1: "good", CHUNK: "duplicate"})
+    def test_same_table_or_error_as_row_by_row(self, rows, placed):
+        got = read_outcome(read_tally_csv, rows, placed)
+        assert got == read_outcome(tally_reference.read_tally_csv, rows, placed)
+        table, _ = got
+        if table is not None:
+            assert_tally_types(table)
+
+    @pytest.mark.parametrize(
+        "placed, message",
+        [
+            ({CHUNK + 3: "total", CHUNK + 10: "csv-error"}, f"row {CHUNK + 5}: total 7 != 6"),
+            ({CHUNK + 10: "csv-error", 2 * CHUNK - 1: "total"}, f"line {CHUNK + 12}: invalid CSV: "),
+            ({CHUNK + 3: "sign", CHUNK + 10: "source"}, f"row {CHUNK + 5}: invalid count '+2'"),
+            ({CHUNK - 1: "good", CHUNK: "duplicate"}, f"row {CHUNK + 2}: duplicate journal 'k{CHUNK // 2}'"),
+        ],
+        ids=[
+            "bad-row-before-csv-error",
+            "csv-error-before-bad-row",
+            "bad-row-before-source-error",
+            "duplicate-across-chunks",
+        ],
+    )
+    def test_first_fault_wins(self, placed, message):
+        _, error = read_outcome(read_tally_csv, 2 * CHUNK, placed)
+        assert error.startswith(message)

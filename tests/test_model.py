@@ -138,6 +138,67 @@ class TestJournalTally:
             assert type(made) is JournalTally and made == t
 
 
+class TestJournalMetrics:
+    TALLY = JournalTally(5, 5, 200)
+
+    def test_fields(self):
+        m = JournalMetrics("j", self.TALLY, 0.5, True)
+        assert (m.journal, m.tally, m.scite_index, m.eligible) == ("j", self.TALLY, 0.5, True)
+        assert m == JournalMetrics(journal="j", tally=self.TALLY, scite_index=0.5, eligible=True)
+
+    def test_immutable_and_hashable(self):
+        m = JournalMetrics("j", self.TALLY, None, False)
+        with pytest.raises(AttributeError):
+            m.eligible = True
+        assert len({m, JournalMetrics("j", self.TALLY, None, False)}) == 1
+
+    def test_repr(self):
+        assert repr(JournalMetrics("j", JournalTally(1, 2, 3), None, False)) == (
+            "JournalMetrics(journal='j', tally=JournalTally(supporting=1, disputing=2, mentioning=3), "
+            "scite_index=None, eligible=False)"
+        )
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError) as absent:
+            JournalMetrics("j", self.TALLY, None, True)
+        with pytest.raises(ValueError) as present:
+            JournalMetrics("j", self.TALLY, 0.5, False)
+        with pytest.raises(ValueError) as out_of_range:
+            JournalMetrics("j", self.TALLY, 1.5, True)
+        assert str(absent.value) == str(present.value) == "scite_index must be present exactly when eligible"
+        assert str(out_of_range.value) == "scite_index 1.5 outside [0, 1]"
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        m = JournalMetrics("j", self.TALLY, 0.5, True)
+        fields = ("j", (5, 5, 200), 0.5, True)
+        assert m == fields and tuple(m) == fields and hash(m) == hash(fields)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: JournalMetrics._make(["j", JournalTally(), None, True]),
+            lambda: JournalMetrics._make(["j", JournalTally(), -0.5, True]),
+            lambda: JournalMetrics("j", JournalTally(), 0.5, True)._replace(eligible=False),
+            lambda: JournalMetrics("j", JournalTally(), 0.5, True)._replace(scite_index=2.0),
+        ],
+    )
+    def test_make_and_replace_validate(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_make_replace_pickle_and_copy_keep_the_type(self):
+        m = JournalMetrics("j", self.TALLY, 0.5, True)
+        for made in (
+            JournalMetrics._make(["j", self.TALLY, 0.5, True]),
+            m._replace(),
+            pickle.loads(pickle.dumps(m)),
+            copy.copy(m),
+            copy.deepcopy(m),
+        ):
+            assert type(made) is JournalMetrics and made == m
+            assert type(made.tally) is JournalTally
+
+
 class TestConfigAndMetrics:
     def test_defaults(self):
         cfg = MetricsConfig()

@@ -18,7 +18,7 @@ from citemetric.errors import (
     ZeroVarianceError,
 )
 from citemetric.metrics import build_metrics_table
-from citemetric.model import U64_MAX, JournalTally
+from citemetric.model import U64_MAX, CorrelationReport, JournalTally
 from citemetric.stats import (
     correlation_report,
     histogram,
@@ -142,6 +142,37 @@ class TestPinnedValues:
         assert pearson(xs, [-x for x in xs]) == -1.0
 
 
+class TestTinyAndConstantColumns:
+    def test_skewness_when_the_cubed_variance_underflows(self):
+        xs = [0.0, 0.0, 5.805182140522114e-112]
+        assert skewness(xs) == pytest.approx(oracles.exact_skewness_g1(xs), rel=1e-12)
+        assert summarize(xs).skew == skewness(xs)
+
+    def test_pearson_when_the_variance_product_underflows(self):
+        xs, ys = [0.0, 1e-120, 3e-120], [1e-130, 0.0, 5e-130]
+        assert pearson(xs, ys) == pytest.approx(oracles.exact_pearson(xs, ys), rel=1e-12)
+
+    def test_tiny_constant_columns_do_not_correlate(self):
+        xs = [1.0998082249284365e-125] * 5
+        with pytest.raises(ZeroDivisionError, match="zero variance"):
+            oracles.exact_pearson(xs, xs)
+        with pytest.raises(ZeroVarianceError):
+            pearson(xs, xs)
+
+    # fsum(xs)/n misses each of these constants by an ulp.
+    @pytest.mark.parametrize("c, n", [(0.7597129630855459, 27), (0.1, 3)])
+    def test_constant_column_has_zero_variance(self, c, n):
+        xs = [c] * n
+        assert oracles.exact_sample_sd(xs) == 0.0
+        assert sample_sd(xs) == 0.0
+        s = summarize(xs)
+        assert (s.mean, s.sd, s.skew) == (c, 0.0, None)
+        with pytest.raises(ZeroVarianceError):
+            skewness(xs)
+        with pytest.raises(ZeroVarianceError):
+            pearson(xs, list(range(n)))
+
+
 class TestKernelErrors:
     def test_empty_inputs(self):
         with pytest.raises(EmptyInputError):
@@ -258,6 +289,20 @@ class TestReportData:
         rep = correlation_report(build_metrics_table(table))
         for r in (rep.r_supporting_vs_total, rep.r_disputing_vs_total, rep.r_si_vs_total):
             assert -1.0 <= r <= 1.0
+
+    def test_correlation_report_equals_pearson_of_its_columns(self, rnd):
+        table = {
+            f"j{i}": JournalTally(rnd.randrange(400), rnd.randrange(40), rnd.randrange(200))
+            for i in range(80)
+        }
+        metrics = build_metrics_table(table)
+        totals = [m.tally.total() for m in metrics]
+        eligible = [m for m in metrics if m.eligible]
+        assert correlation_report(metrics) == CorrelationReport(
+            pearson([m.tally.supporting for m in metrics], totals),
+            pearson([m.tally.disputing for m in metrics], totals),
+            pearson([m.scite_index for m in eligible], [m.tally.total() for m in eligible]),
+        )
 
     def test_correlation_report_names_failing_statistic(self):
         # two journals so the all-journal columns correlate fine, but only
