@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import add
 from typing import IO, Iterable, Iterator
 
 from .errors import ArithmeticOverflowError, EmptyKeyError, MalformedLineError
+from .ingest import csv_field, read_ahead
 from .model import (
     U64_MAX,
     CitationClass,
@@ -124,23 +125,13 @@ def write_tally_csv(table: TallyTable, out: IO[str]) -> None:
 
     Columns: journal,supporting,disputing,mentioning,total with total the row
     sum. Sorted output makes identical tables byte-identical files. Keys are
-    quoted by :func:`csv_field`: for every key without a CR, the bytes
-    ``csv.writer`` writes. Rows are formatted here because ``csv.writer``'s
-    per-row cost was most of the write on a wide table.
+    quoted by :func:`.ingest.csv_field`.
     """
     out.write(",".join(TALLY_HEADER) + "\n")
     keys = sorted(table)  # sorting bare str keys is much faster than sorting items
     out.writelines(
         f"{csv_field(key)},{s},{d},{m},{s + d + m}\n" for key, (s, d, m) in zip(keys, map(table.__getitem__, keys))
     )
-
-
-def csv_field(text: str) -> str:
-    """A key as a CSV field: quoted only when it holds a comma, a double
-    quote, CR or LF, with its double quotes doubled."""
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def read_tally_csv(source: Iterable[str]) -> TallyTable:
@@ -166,20 +157,12 @@ def _read_tally_rows(reader: Iterator[list[str]]) -> TallyTable:
             f"expected tally header {','.join(TALLY_HEADER)!r}, got {','.join(header)!r}"
         )
     table: TallyTable = {}
-    rows: list[list[str]] = []
     rownum = 2
-    while True:
-        try:
-            rows.extend(islice(reader, _CHUNK_ROWS))
-        finally:
-            # Whatever stops the read, the rows read before it are checked
-            # first, so a bad one among them is named, as row by row.
-            if not _add_columns(table, rows):
-                _add_rows(table, rows, rownum)
-        if len(rows) < _CHUNK_ROWS:
-            return table
+    for rows in read_ahead(reader, _CHUNK_ROWS):
+        if not _add_columns(table, rows):
+            _add_rows(table, rows, rownum)
         rownum += len(rows)
-        rows.clear()
+    return table
 
 
 def _add_columns(table: TallyTable, rows: list[list[str]]) -> bool:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import IO, Iterable
 
-from .aggregate import csv_field
 from .errors import UndefinedIndexError
+from .ingest import csv_field
 from .model import JournalKey, JournalMetrics, JournalTally, MetricsConfig
 
 METRICS_HEADER = (
@@ -64,10 +64,7 @@ def build_metrics_table(
 def write_metrics_csv(metrics: Iterable[JournalMetrics], out: IO[str]) -> None:
     """Serialize the metrics table; scite_index is 4-decimal, empty when absent.
 
-    The journal is quoted as in the tally CSV (:func:`.aggregate.csv_field`),
-    so the bytes are those ``csv.writer`` writes for every key without a CR,
-    which a normalized key never holds. Rows are formatted here because
-    ``csv.writer``'s per-row cost was most of the write on a wide table.
+    The journal is quoted by :func:`.ingest.csv_field`, as in the tally CSV.
     """
     out.write(",".join(METRICS_HEADER) + "\n")
     write = out.write

@@ -8,7 +8,6 @@ of deviations is ever stored.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -25,6 +24,7 @@ from .errors import (
     OutOfRangeError,
     ZeroVarianceError,
 )
+from .ingest import csv_field
 from .model import CorrelationReport, JournalKey, JournalMetrics, StatsSummary
 
 HISTOGRAM_HEADER = ("bin_lower", "bin_upper", "count")
@@ -260,12 +260,11 @@ def write_correlations_json(report: CorrelationReport, out: IO[str]) -> None:
 
 
 def write_histogram_csv(rows: Sequence[tuple[float, float, int]], out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(HISTOGRAM_HEADER)
-    writer.writerows(rows)
+    out.write(",".join(HISTOGRAM_HEADER) + "\n")
+    out.writelines(f"{lower},{upper},{count}\n" for lower, upper, count in rows)
 
 
 def write_scatter_csv(points: Sequence[tuple[JournalKey, float, float]], out: IO[str]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SCATTER_HEADER)
-    writer.writerows(points)
+    """The journal is quoted by :func:`.ingest.csv_field`, as in the tally CSV."""
+    out.write(",".join(SCATTER_HEADER) + "\n")
+    out.writelines(f"{csv_field(journal)},{x},{y}\n" for journal, x, y in points)

@@ -32,6 +32,18 @@ tallies = st.builds(
 
 tally_tables = st.dictionaries(journal_keys, tallies, max_size=8)
 
+#: Text for a CSV field, rich in what needs quoting. A CR is left out:
+#: csv.writer quotes it only from Python 3.13. NUL too: it writes one only
+#: from 3.11.
+csv_text = st.text(st.sampled_from(',"\n ') | st.characters(blacklist_characters="\r\x00"), max_size=10)
+
+
+def csv_writer_text(rows) -> str:
+    """What ``csv.writer`` writes for ``rows``, lines ended by LF."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
 
 def assert_tally_types(table) -> None:
     """Every value is a JournalTally itself: a plain tuple of the same

@@ -387,3 +387,12 @@ class TestChunkedRead:
     def test_first_fault_wins(self, placed, message):
         _, error = read_outcome(read_tally_csv, 2 * CHUNK, placed)
         assert error.startswith(message)
+
+    def test_an_interrupt_after_a_bad_row_is_not_deferred(self):
+        def source():
+            yield TALLY_HEAD
+            yield "k0,1,0,0,5\n"  # row 2: total 5 != 1
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            read_tally_csv(source())

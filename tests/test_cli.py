@@ -190,6 +190,35 @@ class TestUnwritableStderr:
         assert run(["aggregate", str(bad), "-o", str(tmp_path / "t.csv")]) == EXIT_DATA
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "in.jsonl"]
 
+    class FailsOnce(io.StringIO):
+        """A stderr whose ``k``-th write raises EIO; 0 never fails."""
+
+        def __init__(self, k):
+            super().__init__()
+            self.k, self.writes = k, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == self.k:
+                raise OSError(errno.EIO, "Input/output error")
+            return super().write(text)
+
+    def test_failed_kth_stderr_write_is_io_error(self, tmp_path, monkeypatch):
+        a = write_lines(tmp_path / "a.jsonl", [*GOOD_LINES, "garbage", "{}"])
+        b = write_lines(tmp_path / "b.jsonl", ["garbage", *GOOD_LINES])
+        args = ["aggregate", "--policy", "skip", str(a), str(b), "-o", str(tmp_path / "t.csv")]
+        counting = self.FailsOnce(0)
+        monkeypatch.setattr(sys, "stderr", counting)
+        assert run(args) == EXIT_OK
+        (tmp_path / "t.csv").unlink()
+        assert counting.writes == 10  # five report lines, each a text and a newline write
+        for k in range(1, counting.writes + 1):
+            stderr = self.FailsOnce(k)
+            monkeypatch.setattr(sys, "stderr", stderr)
+            assert run(args) == EXIT_IO, k
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "b.jsonl"], k
+            assert "Traceback" not in stderr.getvalue(), k
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_stderr_on_a_full_device_exits_3(self, tmp_path):
         src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
@@ -198,24 +227,44 @@ class TestUnwritableStderr:
         assert proc.returncode == EXIT_IO
 
 
-def test_aggregate_calls_ingest_and_fold_through_the_cli_namespace(tmp_path, monkeypatch):
-    # bench/tracing.py times aggregate by wrapping these two names in cli.
+#: The names bench/tracing.py swaps in cli's namespace to time each stage.
+TRACED = {
+    "aggregate": ("ingest_stream", "aggregate_corpus", "merge_tables", "write_tally_csv"),
+    "report": (
+        "read_tally_csv",
+        "build_metrics_table",
+        "write_metrics_csv",
+        "summarize",
+        "correlation_report",
+        "histogram",
+        "scatter_points",
+        "write_summary_json",
+        "write_correlations_json",
+        "write_histogram_csv",
+        "write_scatter_csv",
+    ),
+    "synth": ("generate_corpus", "format_record"),
+}
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c, names in TRACED.items() for n in names])
+def test_traced_names_are_called_through_the_cli_namespace(tmp_path, monkeypatch, command, name):
     calls = []
+    real = getattr(cli, name)
 
-    def spy(name):
-        real = getattr(cli, name)
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("ingest_stream", "aggregate_corpus"):
-        monkeypatch.setattr(cli, name, spy(name))
-    src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
-    assert run(["aggregate", str(src), "-o", str(tmp_path / "t.csv")]) == EXIT_OK
-    assert calls == ["ingest_stream", "aggregate_corpus"]
+    monkeypatch.setattr(cli, name, spy)
+    if command == "aggregate":
+        args = [write_lines(tmp_path / "in.jsonl", GOOD_LINES), "-o", tmp_path / "t.csv"]
+    elif command == "report":
+        args = [make_tally(tmp_path / "t.csv", TestReport.ROWS), "-o", tmp_path / "out"]
+    else:
+        args = ["--journals", "3", "--seed", "1", "-o", tmp_path / "c.jsonl"]
+    assert run([command, *map(str, args)]) == EXIT_OK
+    assert calls
 
 
 class TestReport:
@@ -294,6 +343,17 @@ class TestReport:
         tally.write_bytes(b"journal,supporting,disputing,mentioning,total\n\xff\xfe,1,2,3,6\n")
         assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_interrupt_during_the_tally_read_exits_130(self, tmp_path, monkeypatch, capsys):
+        def read_lines(path):
+            yield "journal,supporting,disputing,mentioning,total\n"
+            yield "a,1,0,0,5\n"  # a bad row, read before the interrupt
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "read_lines", read_lines)
+        assert run(["report", str(tmp_path / "t.csv"), "-o", str(tmp_path / "out")]) == EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "citemetric: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_tally_errors_name_the_tally(self, tmp_path, capsys):
         bad = write_lines(tmp_path / "t.csv", ["journal,supporting,disputing,mentioning,total", "a,1,2,3,99"])
@@ -427,6 +487,36 @@ class TestAtomicWrites:
         assert capsys.readouterr().err == "citemetric: error: [Errno 28] No space left on device\n"
         assert {p.name: p.read_bytes() for p in out.iterdir()} == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "t.csv"]
+
+    @pytest.mark.parametrize("k", range(1, len(ARTIFACTS) + 1))
+    def test_failed_rename_leaves_each_artifact_old_or_new(self, tmp_path, monkeypatch, capsys, k):
+        # The renames run in reverse order, si_scatter.csv first, so the k-1
+        # artifacts renamed before the failure are new and the rest old.
+        tally = make_tally(tmp_path / "t.csv", TestReport.ROWS)
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        assert run(["report", str(tally), "-o", str(fresh)]) == EXIT_OK
+        assert run(["report", str(tally), "--min-citations", "0", "-o", str(out)]) == EXIT_OK
+        old = {p.name: p.read_bytes() for p in out.iterdir()}
+        new = {p.name: p.read_bytes() for p in fresh.iterdir()}
+        assert sorted(old) == sorted(new) == sorted(ARTIFACTS)
+        assert all(old[name] != new[name] for name in ARTIFACTS)
+        capsys.readouterr()
+        real = os.replace
+        renamed = []
+
+        def replace(src, dst):
+            renamed.append(dst)
+            if len(renamed) == k:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert run(["report", str(tally), "-o", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == "citemetric: error: [Errno 28] No space left on device\n"
+        got = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(got) == sorted(ARTIFACTS)  # no .tmp left
+        assert all(got[name] in (old[name], new[name]) for name in ARTIFACTS)
+        assert [name for name in ARTIFACTS if got[name] == new[name]] == list(ARTIFACTS[len(ARTIFACTS) - k + 1 :])
 
     def test_mode_bits_are_those_of_a_plain_open(self, tmp_path):
         src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import BOM, LINE_KINDS, dirty_line, journal_keys, lines_and_error
+from conftest import BOM, LINE_KINDS, csv_text, csv_writer_text, dirty_line, journal_keys, lines_and_error
 
 from citemetric import ingest
 from citemetric.aggregate import add_record, aggregate_corpus
@@ -17,9 +17,11 @@ from citemetric.ingest import (
     Format,
     IngestReport,
     Policy,
+    csv_field,
     format_record,
     ingest_stream,
     parse_record,
+    read_ahead,
     read_lines,
 )
 from citemetric.model import CitationClass, CitationRecord
@@ -107,6 +109,16 @@ class TestFormatRecord:
         line = format_record(CitationRecord("w", "cell, reports", SUP), Format.CSV)
         assert line == 'w,"cell, reports",supporting'
 
+    @given(ids, csv_text, st.sampled_from(CitationClass))
+    def test_csv_equals_csv_writer(self, citing_id, journal, klass):
+        line = format_record(CitationRecord(citing_id, journal, klass), Format.CSV)
+        assert line + "\n" == csv_writer_text([(citing_id, journal, klass.value)])
+
+    def test_csv_quotes_a_cr_on_every_python_version(self):
+        # csv.writer leaves a bare CR unquoted before Python 3.13.
+        assert csv_field("a\rb") == '"a\rb"'
+        assert format_record(CitationRecord("w", "a\rb", SUP), Format.CSV) == 'w,"a\rb",supporting'
+
     def test_csv_rejects_newline_in_citing_id(self):
         with pytest.raises(ValueError):
             format_record(CitationRecord("a\nb", "nature", SUP), Format.CSV)
@@ -114,6 +126,34 @@ class TestFormatRecord:
     def test_jsonl_allows_newline_in_citing_id(self):
         rec = CitationRecord("a\nb", "nature", SUP)
         assert parse_record(format_record(rec, Format.JSONL), Format.JSONL) == rec
+
+
+class TestReadAhead:
+    def test_lists_of_size_then_one_shorter(self):
+        assert list(read_ahead(range(7), 3)) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert list(read_ahead(range(6), 3)) == [[0, 1, 2], [3, 4, 5], []]
+        assert list(read_ahead([], 3)) == [[]]
+
+    def test_an_error_comes_after_the_items_read_before_it(self):
+        def source():
+            yield from range(4)
+            raise MalformedLineError("bad")
+
+        chunks = read_ahead(source(), 3)
+        assert next(chunks) == [0, 1, 2]
+        assert next(chunks) == [3]
+        with pytest.raises(MalformedLineError, match="bad"):
+            next(chunks)
+
+    def test_an_interrupt_is_not_deferred(self):
+        def source():
+            yield from range(4)
+            raise KeyboardInterrupt
+
+        chunks = read_ahead(source(), 3)
+        assert next(chunks) == [0, 1, 2]
+        with pytest.raises(KeyboardInterrupt):
+            next(chunks)
 
 
 class TestIngestStream:
@@ -409,6 +449,18 @@ def test_read_error_comes_after_an_earlier_strict_error_in_its_batch(batch):
     with pytest.raises(MalformedLineError, match="^invalid UTF-8"):
         list(records)
     assert (report.accepted, report.rejected) == (2, 1)
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("fmt, lines", [(Format.JSONL, [_J, "garbage"]), (Format.CSV, [_HEADER, "w1,Nature,supporting", "a,b"])])
+def test_an_interrupt_after_a_bad_line_is_not_deferred(fmt, lines, policy):
+    def source():
+        yield from lines
+        raise KeyboardInterrupt
+
+    records, _ = ingest_stream(source(), fmt, policy)
+    with pytest.raises(KeyboardInterrupt):
+        list(records)
 
 
 @st.composite

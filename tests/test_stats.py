@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 import stats_reference
+from conftest import csv_text, csv_writer_text
 
 from citemetric.errors import (
     EmptyInputError,
@@ -20,6 +21,8 @@ from citemetric.errors import (
 from citemetric.metrics import build_metrics_table
 from citemetric.model import U64_MAX, CorrelationReport, JournalTally
 from citemetric.stats import (
+    HISTOGRAM_HEADER,
+    SCATTER_HEADER,
     correlation_report,
     histogram,
     mean,
@@ -360,3 +363,20 @@ class TestWriters:
         buf = io.StringIO()
         write_scatter_csv([("a", 2.0, 0.75)], buf)
         assert buf.getvalue() == "journal,log10_total,scite_index\na,2.0,0.75\n"
+
+    def test_scatter_csv_quotes_a_key_with_a_cr(self):
+        buf = io.StringIO()
+        write_scatter_csv([("a\rb", 2.0, 0.75)], buf)
+        assert buf.getvalue() == ",".join(SCATTER_HEADER) + '\n"a\rb",2.0,0.75\n'
+
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.integers(0, U64_MAX)), max_size=8))
+    def test_histogram_csv_equals_csv_writer(self, rows):
+        buf = io.StringIO()
+        write_histogram_csv(rows, buf)
+        assert buf.getvalue() == csv_writer_text([HISTOGRAM_HEADER, *rows])
+
+    @given(st.lists(st.tuples(csv_text, st.floats(), st.floats()), max_size=8))
+    def test_scatter_csv_equals_csv_writer(self, points):
+        buf = io.StringIO()
+        write_scatter_csv(points, buf)
+        assert buf.getvalue() == csv_writer_text([SCATTER_HEADER, *points])
