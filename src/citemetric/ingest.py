@@ -15,7 +15,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -222,7 +222,8 @@ def _check_header(line: str) -> None:
 
 
 #: Stands in for a CSV row of the wrong length: its empty label never
-#: resolves, so the row goes to the per-line parser, which words the error.
+#: resolves, so the row goes to ``ingest_stream``'s ``one_line``, which
+#: words the error.
 _NO_ROW = ("", "", "")
 
 
@@ -347,11 +348,14 @@ def ingest_stream(
     suspect. The returned report is shared with the generator and is complete
     only after the stream has been fully consumed.
 
-    Lines are read ahead from ``source`` in batches of a few hundred, and a
-    batch whose lines all parse is turned into records without a Python step
-    per line. Errors still surface in line order: the records of the lines
-    before a bad line, or before an exception raised by ``source`` itself,
-    come out first.
+    Lines are read ahead from ``source`` in batches of a few hundred, and the
+    lines of a batch that parse are turned into records without a Python
+    step per line. Every other line, and each line of a batch the column
+    parser refuses, is parsed on its own by ``one_line``, the only code that
+    words an error. Errors still surface in line order: the records of the
+    lines before a bad line, or before an exception raised by ``source``
+    itself, come out first. A STRICT error ends the stream's one generator,
+    so a caller that catches it and reads on gets no more records.
     """
     report = IngestReport()
     # Per-stream caches of successful lookups only: a failing label or
@@ -361,52 +365,30 @@ def ingest_stream(
     keys: dict[str, str] = {}
     columns = _COLUMNS.get(fmt)
 
-    def per_line(lines: list[str], lineno: int) -> Iterator[CitationRecord]:
-        """Parse ``lines``, the first of which is line ``lineno + 1``, one at
-        a time; the only code that words an error."""
-        fields, new_record = _fields, tuple.__new__
-        for line in lines:
-            lineno += 1
-            try:
-                citing_id, journal, label = fields(line, fmt)
-                klass = classes.get(label)
-                if klass is None:
-                    klass = classes[label] = _class_of(label)
-                key = keys.get(journal)
-                if key is None:
-                    key = keys[journal] = _key_of(journal)
-            except CitemetricError as exc:
-                report.rejected += 1
-                if len(report.first_errors) < MAX_REPORTED_ERRORS:
-                    report.first_errors.append((lineno, f"{type(exc).__name__}: {exc}"))
-                if policy is Policy.STRICT:
-                    raise type(exc)(f"line {lineno}: {exc}") from None
-                continue
-            report.accepted += 1
-            yield new_record(CitationRecord, (citing_id, key, klass))
+    def one_line(line: str, lineno: int) -> tuple[CitationRecord, ...]:
+        """``(record,)`` for ``line``, line ``lineno``, or ``()`` if it is
+        skipped; the only code that words an error."""
+        try:
+            citing_id, journal, label = _fields(line, fmt)
+            klass = classes.get(label)
+            if klass is None:
+                klass = classes[label] = _class_of(label)
+            key = keys.get(journal)
+            if key is None:
+                key = keys[journal] = _key_of(journal)
+        except CitemetricError as exc:
+            report.rejected += 1
+            if len(report.first_errors) < MAX_REPORTED_ERRORS:
+                report.first_errors.append((lineno, f"{type(exc).__name__}: {exc}"))
+            if policy is Policy.STRICT:
+                raise type(exc)(f"line {lineno}: {exc}") from None
+            return ()
+        report.accepted += 1
+        return (tuple.__new__(CitationRecord, (citing_id, key, klass)),)
 
-    def runs(lines: list[str], lineno: int) -> Iterator[Iterator[CitationRecord]]:
-        """The records of ``lines`` as runs of accepted rows, each built by
-        C-level maps, and per_line parses of the lines between them."""
-        cols = columns(lines) if columns and lines else None
-        if cols is None:
-            yield per_line(lines, lineno)
-            return
-        ids, journals, labels = cols
-        klasses = _lookup(classes, labels, _class_of)
-        found = _lookup(keys, journals, _key_of)
-        bad = [i for i, (key, klass) in enumerate(zip(found, klasses)) if key is None or klass is None]
-        start = 0
-        for end in (*bad, len(lines)):
-            if start < end:
-                report.accepted += end - start
-                rows = zip(ids[start:end], found[start:end], klasses[start:end])
-                yield map(tuple.__new__, repeat(CitationRecord), rows)
-            if end < len(lines):
-                yield per_line(lines[end : end + 1], lineno + end)
-            start = end + 1
-
-    def batches() -> Iterator[Iterator[CitationRecord]]:
+    def batches() -> Iterator[Iterable[CitationRecord]]:
+        """Runs of accepted rows, each built by C-level maps, and the
+        ``one_line`` parse of every other line, in line order."""
         lineno = 0
         for batch in read_ahead(source, _BATCH_LINES):
             lines = list(map(str.rstrip, batch, repeat("\r\n")))
@@ -415,10 +397,23 @@ def ingest_stream(
                 if fmt is Format.CSV:
                     _check_header(lines.pop(0))
                     lineno = 1
-            for run in runs(lines, lineno):
-                yield run
-                if policy is Policy.STRICT and report.rejected:
-                    return
+            cols = columns(lines) if columns and lines else None
+            if cols is None:
+                yield from map(one_line, lines, count(lineno + 1))
+            else:
+                ids, journals, labels = cols
+                klasses = _lookup(classes, labels, _class_of)
+                found = _lookup(keys, journals, _key_of)
+                bad = [i for i, (key, klass) in enumerate(zip(found, klasses)) if key is None or klass is None]
+                start = 0
+                for end in (*bad, len(lines)):
+                    if start < end:
+                        report.accepted += end - start
+                        rows = zip(ids[start:end], found[start:end], klasses[start:end])
+                        yield map(tuple.__new__, repeat(CitationRecord), rows)
+                    if end < len(lines):
+                        yield one_line(lines[end], lineno + end + 1)
+                    start = end + 1
             lineno += len(lines)
         if fmt is Format.CSV and lineno == 0:
             raise MalformedLineError("line 1: missing CSV header")

@@ -76,6 +76,13 @@ def default_paper_regime() -> SynthParams:
     return SynthParams(journals=10_000)
 
 
+#: The most records (classified plus mentions) one journal may draw. The
+#: binomial split walks O(sqrt(total)) steps and the corpus writer one line
+#: per record, so a larger total would not finish in reasonable time; the
+#: paper regime's largest journals hold well under a million.
+MAX_JOURNAL_RECORDS = 10**8
+
+
 def journal_counts(params: SynthParams, index: int) -> tuple[int, int, int, int]:
     """Draw (classified, supporting, disputing, mentioning) for one journal.
 
@@ -83,19 +90,25 @@ def journal_counts(params: SynthParams, index: int) -> tuple[int, int, int, int]
     (rounded lognormal, may be 0), then the support propensity, then the
     binomial split. Mentions are round(classified * ratio / (1 - ratio)),
     with no randomness of their own.
+
+    Raises:
+        InvalidParamsError: a draw leaves float range, or the journal's
+            classified total plus mentions exceeds ``MAX_JOURNAL_RECORDS``.
     """
     rng = SplitMix64(stream_seed(params.seed, index))
     try:
         classified = round(lognormal(rng, params.lognormal_mu, params.lognormal_sigma))
+        mentioning = round(classified * params.mention_ratio / (1.0 - params.mention_ratio))
+        if classified + mentioning > MAX_JOURNAL_RECORDS:
+            raise OverflowError(f"{classified + mentioning} records exceed the {MAX_JOURNAL_RECORDS} a journal may hold")
         propensity = beta_variate(rng, params.beta_alpha, params.beta_beta)
         supporting = binomial(rng, classified, propensity)
-    except (OverflowError, FloatingPointError) as exc:  # a total past float range, or a Beta that only underflows
+    except (OverflowError, FloatingPointError) as exc:  # a total past float range or the bound, or a Beta that only underflows
         raise InvalidParamsError(
             f"cannot draw journal {index} with lognormal_mu={params.lognormal_mu}, "
             f"lognormal_sigma={params.lognormal_sigma}, beta_alpha={params.beta_alpha}, "
             f"beta_beta={params.beta_beta}: {exc}"
         ) from None
-    mentioning = round(classified * params.mention_ratio / (1.0 - params.mention_ratio))
     return classified, supporting, classified - supporting, mentioning
 
 

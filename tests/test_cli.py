@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import errno
@@ -267,6 +268,26 @@ def test_traced_names_are_called_through_the_cli_namespace(tmp_path, monkeypatch
     assert calls
 
 
+def test_traced_names_match_the_benchmark_tracer():
+    # Read, not imported, so that the names are checked without the benchmark's imports.
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    spans = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_CLI_SPANS" for t in node.targets)
+    )
+    traced_cli = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "traced_cli")
+    loops = [
+        node.iter
+        for node in ast.walk(traced_cli)
+        if isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name) and node.target.id == "name"
+    ]
+    assert len(loops) == 1 and isinstance(loops[0], ast.Tuple)
+    swapped = {ast.literal_eval(key) for key in spans.keys}
+    swapped.update(ast.literal_eval(elt) for elt in loops[0].elts if not isinstance(elt, ast.Starred))
+    assert swapped == {name for names in TRACED.values() for name in names}
+
+
 class TestReport:
     ROWS = [
         ("alpha", 150, 50, 0),
@@ -446,6 +467,14 @@ class TestAtomicWrites:
         monkeypatch.setattr(cli, "write_tally_csv", self.failing(cli.write_tally_csv))
         assert run(["aggregate", str(src), "-o", str(tmp_path / "t.csv")]) == EXIT_IO
         assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    def test_unopenable_temporary_file_names_the_destination(self, tmp_path, capsys):
+        src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
+        out = tmp_path / "missing" / "t.csv"
+        assert run(["aggregate", str(src), "-o", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"No such file or directory: {str(out)!r}" in err and ".tmp" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
     def test_failed_tally_write_keeps_the_old_tally(self, tmp_path, monkeypatch):
@@ -727,6 +756,8 @@ class TestSynth:
             (["--journals", "3", "--lognormal-mu", "800"], "lognormal_mu=800.0"),
             (["--journals", "3", "--lognormal-sigma", "400"], "lognormal_sigma=400.0"),
             (["--journals", "2", "--beta-alpha", "1e-300", "--beta-beta", "1e-300"], "beta_alpha=1e-300, beta_beta=1e-300"),
+            # Totals of 1e17 to 1e19 fit a float; the record bound stops them.
+            *((["--journals", "3", "--lognormal-mu", "40", "--seed", f"{n}"], "a journal may hold") for n in range(1, 6)),
         ],
     )
     def test_draws_outside_float_range_are_a_usage_error(self, tmp_path, flags, named):

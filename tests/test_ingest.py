@@ -463,6 +463,26 @@ def test_an_interrupt_after_a_bad_line_is_not_deferred(fmt, lines, policy):
         list(records)
 
 
+@pytest.mark.parametrize(
+    "fmt, lines, refused",
+    [
+        (Format.JSONL, [_J, '{"journal":"a","class":"contrasting"}', _J, _J], False),
+        (Format.JSONL, [_J, "garbage", _J, _J], True),
+        (Format.CSV, [_HEADER, "w1,Nature,supporting", "w2,Nature,contrasting", "w3,Cell,mentioning"], False),
+        (Format.CSV, [_HEADER, "w1,Nature,supporting", 'w2,"Nature,supporting', "w3,Cell,mentioning"], True),
+    ],
+)
+def test_a_caught_strict_error_ends_the_stream(fmt, lines, refused):
+    data = lines[1:] if fmt is Format.CSV else lines
+    assert (ingest._COLUMNS[fmt](data) is None) is refused
+    records, report = ingest_stream(lines, fmt)
+    assert next(records) == parse_record(data[0], fmt)
+    with pytest.raises(CitemetricError, match=f"^line {len(lines) - len(data) + 2}: "):
+        next(records)
+    assert list(records) == []
+    assert (report.accepted, report.rejected, len(report.first_errors)) == (1, 1, 1)
+
+
 @st.composite
 def _dirty_streams(draw, fmt):
     pool = _dirty_lines(fmt) + [line for case in _PINNED[fmt] for line in case[1:]]

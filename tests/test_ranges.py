@@ -150,6 +150,14 @@ def test_no_fork_means_one_cpu(monkeypatch):
     assert ranges.usable_cpus() == 1
 
 
+def test_no_affinity_means_every_cpu(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert ranges.usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ranges.usable_cpus() == 1
+
+
 # --- split runs equal the one-range run ----------------------------------
 
 @st.composite

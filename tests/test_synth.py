@@ -3,6 +3,7 @@ from itertools import islice
 
 import pytest
 
+from citemetric import synth
 from citemetric.aggregate import aggregate_corpus
 from citemetric.errors import InvalidParamsError
 from citemetric.model import U64_MAX, CitationClass, JournalTally
@@ -75,6 +76,19 @@ class TestJournalCounts:
         assert [journal_counts(SMALL, i) for i in range(40)] == [
             journal_counts(bigger, i) for i in range(40)
         ]
+
+    def test_a_journal_over_the_record_bound_is_rejected_before_its_split(self, monkeypatch):
+        counts = [journal_counts(SMALL, i) for i in range(40)]
+        largest = max(range(40), key=lambda i: counts[i][0] + counts[i][3])
+        records = counts[largest][0] + counts[largest][3]
+        # A bound that no journal exceeds changes no draw.
+        monkeypatch.setattr(synth, "MAX_JOURNAL_RECORDS", records)
+        assert [journal_counts(SMALL, i) for i in range(40)] == counts
+        monkeypatch.setattr(synth, "MAX_JOURNAL_RECORDS", records - 1)
+        monkeypatch.setattr(synth, "beta_variate", None)  # neither the propensity nor the split is drawn
+        monkeypatch.setattr(synth, "binomial", None)
+        with pytest.raises(InvalidParamsError, match=f"^cannot draw journal {largest} with .*: {records} records exceed the {records - 1} "):
+            journal_counts(SMALL, largest)
 
 
 class TestGenerateCorpus:
