@@ -18,7 +18,6 @@ from .aggregate import (
     TallyTable,
     add_record,
     aggregate_corpus,
-    empty_tally,
     merge_tables,
     read_tally_csv,
     write_tally_csv,
@@ -119,7 +118,6 @@ __all__ = [
     "build_metrics_table",
     "correlation_report",
     "default_paper_regime",
-    "empty_tally",
     "evaluate_journal",
     "format_record",
     "generate_corpus",

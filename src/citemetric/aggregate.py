@@ -1,15 +1,15 @@
 """Fold citation records into a per-journal tally table.
 
 Tables form a commutative monoid under :func:`merge_tables` with the empty
-table as identity, so shards can aggregate independently and merge in any
-order with identical results. :func:`add_counts` is the one summing kernel:
-merges, single records and workers' rows all add and overflow-check there.
+table as identity, so the byte ranges and the input files that ``aggregate``
+folds apart combine in any order with identical results. :func:`add_counts`
+is the one summing kernel: merges, single records and workers' rows all add
+and overflow-check there.
 """
 
 from __future__ import annotations
 
 import csv
-from functools import reduce
 from itertools import chain, repeat
 from operator import add
 from typing import IO, Iterable, Iterator
@@ -39,11 +39,6 @@ _ONE = {klass: tuple(int(i == j) for j in range(3)) for klass, i in _IDX.items()
 
 #: Most tally-CSV rows read and checked together.
 _CHUNK_ROWS = 512
-
-
-def empty_tally() -> JournalTally:
-    """The monoid identity: all three counts zero."""
-    return JournalTally(0, 0, 0)
 
 
 def add_record(table: TallyTable, record: CitationRecord) -> TallyTable:
@@ -89,23 +84,8 @@ def add_counts(table: TallyTable, rows: Iterable[tuple[JournalKey, int, int, int
     return table
 
 
-def aggregate_corpus(records: Iterable[CitationRecord], shards: int = 1) -> TallyTable:
-    """Tally a record stream; the result is independent of the shard count.
-
-    With ``shards > 1`` records are dealt round-robin to independent folds
-    whose tables are then merged with :func:`merge_tables`. Output equals the
-    sequential fold for every shard count. The ``aggregate`` command does not
-    take this path: it adds its forked workers' rows with :func:`add_counts`.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shards == 1:
-        return _fold(records)
-    dealt = list(records)
-    return reduce(merge_tables, (_fold(dealt[i::shards]) for i in range(shards)), {})
-
-
-def _fold(records: Iterable[CitationRecord]) -> TallyTable:
+def aggregate_corpus(records: Iterable[CitationRecord]) -> TallyTable:
+    """Tally a record stream: the table :func:`add_record` would build."""
     # Hot path: plain int lists while folding, immutable tallies at the end.
     # Counts made by += 1 from zero cannot leave [0, 2**64 - 1], so this is
     # the one place a tally is built without JournalTally's check.

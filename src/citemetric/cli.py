@@ -205,6 +205,10 @@ def _atomic_write(path: str | Path) -> Iterator[IO[str]]:
         fh = open(tmp, "x", encoding="utf-8", newline="")
     except OSError as exc:  # name the destination, as open(path, "w") would
         raise OSError(exc.errno, exc.strerror, str(path)) from None
+    except BaseException:  # an interrupt as open returns: the file is made
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     try:
         with fh:
             yield fh

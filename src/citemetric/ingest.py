@@ -174,7 +174,7 @@ def _fields(line: str, fmt: Format) -> tuple[str, str, str]:
     if fmt is Format.JSONL:
         try:
             obj = _decode_json(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the stack
             raise MalformedLineError(f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise MalformedLineError("JSONL line is not an object")
@@ -208,7 +208,19 @@ def _class_of(label: str) -> CitationClass:
 
 
 def _key_of(journal: str) -> str:
+    """The normalized key of ``journal``; the one place a journal is resolved.
+
+    Raises:
+        EmptyKeyError: nothing remains after normalization.
+        MalformedLineError: the key holds a lone surrogate (a JSON ``\\ud800``
+            escape), which the tally CSV could not be written with.
+    """
     key = normalize_journal_key(journal)
+    if not key.isascii():
+        try:
+            key.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedLineError("journal holds a lone surrogate, which UTF-8 cannot encode") from None
     return journal if key == journal else key  # share the raw string when it is already normalized
 
 
@@ -305,13 +317,14 @@ def parse_record(line: str, fmt: Format) -> CitationRecord:
     supporting/disputing/mentioning.
 
     Raises:
-        MalformedLineError: wrong field count, invalid CSV or invalid JSON object.
+        MalformedLineError: wrong field count, invalid CSV or invalid JSON
+            object, or a journal holding a lone surrogate.
         UnknownClassError: class label outside the taxonomy.
         EmptyKeyError: journal field normalizes to the empty string.
     """
     citing_id, journal, label = _fields(line, fmt)
     klass = _class_of(label)
-    return CitationRecord(citing_id, normalize_journal_key(journal), klass)
+    return CitationRecord(citing_id, _key_of(journal), klass)
 
 
 def format_record(record: CitationRecord, fmt: Format) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 from time import perf_counter
 from types import SimpleNamespace
@@ -28,10 +29,11 @@ import pytest
 
 import oracles
 
+from citemetric import ranges
 from citemetric.aggregate import add_record, aggregate_corpus, merge_tables, read_tally_csv
-from citemetric.cli import EXIT_OK, run
+from citemetric.cli import EXIT_OK, _fold_range, run
 from citemetric.errors import UndefinedIndexError
-from citemetric.ingest import Format, format_record, ingest_stream
+from citemetric.ingest import CSV_HEADER, Format, IngestReport, Policy, format_record, ingest_stream
 from citemetric.metrics import build_metrics_table, evaluate_journal, scite_index
 from citemetric.model import CitationClass, CitationRecord, JournalTally
 from citemetric.stats import (
@@ -193,11 +195,16 @@ def test_criterion_3_statistics_oracles():
     criterion(3, checks)
 
 
-def test_criterion_4_monoid_shard_invariance():
+def test_criterion_4_monoid_shard_invariance(tmp_path, monkeypatch):
+    """Round-robin folds merged with ``merge_tables``, and the byte ranges
+    ``aggregate`` folds apart (``ranges.plan_ranges`` → ``cli._fold_range``),
+    each equal the sequential fold. The ranges are folded in this process:
+    forking is covered by ``tests/test_ranges.py``."""
+    monkeypatch.setattr(ranges, "MIN_RANGE_BYTES", 1)
     rnd = random.Random(4)
     t0 = perf_counter()
-    shard_mismatches = 0
-    for _ in range(200):
+    shard_mismatches = range_mismatches = 0
+    for n in range(200):
         records = [
             CitationRecord("", f"j{rnd.randrange(25):02d}", rnd.choice(CLASSES))
             for _ in range(rnd.randrange(20, 120))
@@ -206,8 +213,25 @@ def test_criterion_4_monoid_shard_invariance():
         for r in records:
             add_record(sequential, r)
         for shards in range(1, 9):
-            if aggregate_corpus(iter(records), shards=shards) != sequential:
+            folds = (aggregate_corpus(records[i::shards]) for i in range(shards))
+            if reduce(merge_tables, folds, {}) != sequential:
                 shard_mismatches += 1
+
+        fmt = (Format.JSONL, Format.CSV)[n % 2]
+        path = str(tmp_path / f"corpus-{n}.{fmt.value}")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            if fmt is Format.CSV:
+                fh.write(",".join(CSV_HEADER) + "\n")
+            fh.writelines(format_record(r, fmt) + "\n" for r in records)
+        for parts in range(1, 9):
+            plan = ranges.plan_ranges(path, parts)
+            table, report = {}, IngestReport()
+            for start, length in plan:
+                part_table, part_report = _fold_range(path, fmt, Policy.SKIP, start, length)
+                table = merge_tables(table, part_table)
+                report.extend(part_report)
+            if len(plan) != parts or table != sequential or (report.accepted, report.rejected) != (len(records), 0):
+                range_mismatches += 1
 
     def random_table():
         return {
@@ -229,6 +253,10 @@ def test_criterion_4_monoid_shard_invariance():
         4,
         [
             (shard_mismatches == 0, f"{shard_mismatches} shard-count mismatches over 200 corpora x shards 1-8"),
+            (
+                range_mismatches == 0,
+                f"{range_mismatches} byte-range mismatches over 200 JSONL/CSV corpus files x ranges 1-8",
+            ),
             (law_failures == 0, f"{law_failures} monoid-law failures over 100 random triples"),
             (elapsed < 10.0, f"runtime {elapsed:.2f}s < 10s"),
         ],

@@ -170,6 +170,27 @@ class TestAggregate:
         assert run(["aggregate", "-f", "csv", str(src), "-o", str(out)]) == EXIT_DATA
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (r'{"journal":"\ud800","class":"supporting"}', "journal holds a lone surrogate, which UTF-8 cannot encode"),
+            ("[" * 100_000, "invalid JSON: "),
+            ('{"journal":"a","class":"supporting","x":' + "[" * 100_000 + "]" * 100_000 + "}", "invalid JSON: "),
+        ],
+        ids=["lone-surrogate", "deep-array", "deep-value"],
+    )
+    def test_lone_surrogate_or_deep_nesting_is_a_rejected_line(self, tmp_path, capsys, bad, message):
+        src = write_lines(tmp_path / "in.jsonl", [bad, GOOD_LINES[0]])
+        out = tmp_path / "t.csv"
+        assert run(["aggregate", str(src), "-o", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"citemetric: error: {src}: line 1: {message}")
+        assert err.count("\n") == 1 and not out.exists()
+        assert run(["aggregate", "--policy", "skip", str(src), "-o", str(out)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.startswith(f"{src}: 1 accepted, 1 rejected\n  {src}:1: MalformedLineError: {message}")
+        assert out.read_text() == "journal,supporting,disputing,mentioning,total\nalpha,1,0,0,1\n"
+
     def test_oversized_csv_header_is_data_error(self, tmp_path, capsys):
         src = write_lines(tmp_path / "in.csv", [f"citing_id,{HUGE},class", "w1,alpha,supporting"])
         code = run(["aggregate", "-f", "csv", "--policy", "skip", str(src), "-o", str(tmp_path / "t.csv")])
@@ -476,6 +497,18 @@ class TestAtomicWrites:
         err = capsys.readouterr().err
         assert f"No such file or directory: {str(out)!r}" in err and ".tmp" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+    def test_interrupt_as_the_temporary_file_opens_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # A signal handled just as open returns raises at the call, after the
+        # file is made: a SIGTERM sent once the .tmp shows can land there.
+        def opened_then_interrupted(*args, **kwargs):
+            open(*args, **kwargs).close()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "open", opened_then_interrupted, raising=False)
+        assert run(["synth", "--journals", "2", "-o", str(tmp_path / "c.jsonl")]) == EXIT_INTERRUPTED
+        assert capsys.readouterr().err == "citemetric: interrupted\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_tally_write_keeps_the_old_tally(self, tmp_path, monkeypatch):
         src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
@@ -872,3 +905,18 @@ cli.write_histogram_csv = write
         before = signal.getsignal(signal.SIGTERM)
         assert run(["synth", "--journals", "2", "-o", str(tmp_path / "c.jsonl")]) == EXIT_OK
         assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_run_outside_the_main_thread_leaves_the_handler_alone(self, tmp_path):
+        # Only the main thread may set a signal handler; elsewhere run keeps
+        # the one it finds.
+        before = signal.getsignal(signal.SIGTERM)
+        codes = []
+        args = ["synth", "--journals", "3", "-o", str(tmp_path / "thread.jsonl")]
+        thread = threading.Thread(target=lambda: codes.append(run(args)))
+        thread.start()
+        thread.join(timeout=30)
+        assert codes == [EXIT_OK]
+        assert signal.getsignal(signal.SIGTERM) is before
+        assert run(["synth", "--journals", "3", "-o", str(tmp_path / "main.jsonl")]) == EXIT_OK
+        corpus = (tmp_path / "thread.jsonl").read_bytes()
+        assert corpus and corpus == (tmp_path / "main.jsonl").read_bytes()

@@ -28,6 +28,13 @@ from citemetric.model import CitationClass, CitationRecord
 
 SUP = CitationClass.SUPPORTING
 
+#: A journal that JSON decodes to an unpaired surrogate, which no UTF-8
+#: tally could hold.
+_LONE_SURROGATE = r'{"journal":"\ud800","class":"supporting"}'
+#: Nesting far deeper than any interpreter's recursion or stack limit.
+_DEEP_ARRAY = "[" * 100_000
+_DEEP_VALUE = '{"journal":"a","class":"supporting","x":' + "[" * 100_000 + "]" * 100_000 + "}"
+
 
 class TestParseRecord:
     def test_csv_basic(self):
@@ -68,6 +75,9 @@ class TestParseRecord:
             '{"journal":"n","class":"supporting","citing_id":3}',
             '{"journal":"a","class":"supporting","journal":"b"}',
             '{"journal":"a: b","class":"supporting","x":{"k":1,"k":2}}',
+            pytest.param(_LONE_SURROGATE, id="lone-surrogate"),
+            pytest.param(_DEEP_ARRAY, id="deep-array"),
+            pytest.param(_DEEP_VALUE, id="deep-value"),
         ],
     )
     def test_jsonl_malformed(self, line):
@@ -88,6 +98,10 @@ class TestParseRecord:
     def test_empty_journal(self):
         with pytest.raises(EmptyKeyError):
             parse_record("w,   ,supporting", Format.CSV)
+
+    def test_jsonl_escaped_surrogate_pair_is_one_character(self):
+        # Only a lone surrogate is refused: a pair decodes to one character.
+        assert parse_record(r'{"journal":"\ud83d\ude00","class":"supporting"}', Format.JSONL).journal == "\U0001f600"
 
 
 class TestFormatRecord:
@@ -481,6 +495,25 @@ def test_a_caught_strict_error_ends_the_stream(fmt, lines, refused):
         next(records)
     assert list(records) == []
     assert (report.accepted, report.rejected, len(report.first_errors)) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("refused", [False, True])
+def test_a_lone_surrogate_journal_is_a_malformed_line(refused, policy):
+    lines = [_J] * ingest._BATCH_LINES
+    lines[100] = _LONE_SURROGATE
+    if refused:
+        lines[200] = "garbage"
+    assert (ingest._jsonl_columns(lines) is None) is refused
+    assert_batched_equals_per_line(lines, Format.JSONL, policy, ingest._BATCH_LINES)
+    records, report = ingest_stream(lines, Format.JSONL, policy)
+    message = "journal holds a lone surrogate, which UTF-8 cannot encode"
+    if policy is Policy.STRICT:
+        with pytest.raises(MalformedLineError, match=f"^line 101: {message}$"):
+            list(records)
+    else:
+        assert len(list(records)) == ingest._BATCH_LINES - 1 - refused
+    assert report.first_errors[0] == (101, f"MalformedLineError: {message}")
 
 
 @st.composite
