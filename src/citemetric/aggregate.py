@@ -1,5 +1,11 @@
 """Fold citation records into a per-journal tally table.
 
+:func:`aggregate_corpus` is the one fold. It counts runs: the
+``(citing_ids, keys, classes)`` columns of many records, counted a column
+at a time by C-level passes. A :class:`.ingest.RecordStream` hands over the
+runs its parser made, so a stream not yet read, or partly read, is folded
+without building a record; any other iterable of records is cut into runs.
+
 Tables form a commutative monoid under :func:`merge_tables` with the empty
 table as identity, so the byte ranges and the input files that ``aggregate``
 folds apart combine in any order with identical results. :func:`add_counts`
@@ -10,12 +16,13 @@ and overflow-check there.
 from __future__ import annotations
 
 import csv
-from itertools import chain, repeat
-from operator import add
+from collections import Counter
+from itertools import chain, compress, repeat
+from operator import add, is_, sub
 from typing import IO, Iterable, Iterator
 
 from .errors import ArithmeticOverflowError, EmptyKeyError, MalformedLineError
-from .ingest import csv_field, read_ahead
+from .ingest import RecordStream, Run, csv_field, read_ahead
 from .model import (
     U64_MAX,
     CitationClass,
@@ -29,15 +36,11 @@ TALLY_HEADER = ("journal", "supporting", "disputing", "mentioning", "total")
 
 TallyTable = dict[JournalKey, JournalTally]
 
-_IDX = {
-    CitationClass.SUPPORTING: 0,
-    CitationClass.DISPUTING: 1,
-    CitationClass.MENTIONING: 2,
-}
-#: Each class's one-hot (supporting, disputing, mentioning) row.
-_ONE = {klass: tuple(int(i == j) for j in range(3)) for klass, i in _IDX.items()}
+#: Each class's one-hot (supporting, disputing, mentioning) row; the
+#: members iterate in that order.
+_ONE = {klass: tuple(int(k is klass) for k in CitationClass) for klass in CitationClass}
 
-#: Most tally-CSV rows read and checked together.
+#: Most tally-CSV rows, or records of a record list, read and checked together.
 _CHUNK_ROWS = 512
 
 
@@ -85,19 +88,56 @@ def add_counts(table: TallyTable, rows: Iterable[tuple[JournalKey, int, int, int
 
 
 def aggregate_corpus(records: Iterable[CitationRecord]) -> TallyTable:
-    """Tally a record stream: the table :func:`add_record` would build."""
-    # Hot path: plain int lists while folding, immutable tallies at the end.
-    # Counts made by += 1 from zero cannot leave [0, 2**64 - 1], so this is
-    # the one place a tally is built without JournalTally's check.
-    acc: dict[JournalKey, list[int]] = {}
-    get = acc.get
-    idx = _IDX
-    for _, journal, klass in records:
-        counts = get(journal)
-        if counts is None:
-            counts = acc[journal] = [0, 0, 0]
-        counts[idx[klass]] += 1
-    return {k: tuple.__new__(JournalTally, v) for k, v in acc.items()}
+    """Tally a record stream: the table :func:`add_record` would build.
+
+    A :class:`.ingest.RecordStream` is folded from the runs it has not yet
+    handed out, and no record is built for them; any other iterable is read
+    in runs of ``_CHUNK_ROWS`` records, checked as :func:`_columns` says.
+    """
+    if isinstance(records, RecordStream):
+        runs = records.take_runs()
+    else:
+        runs = map(_columns, read_ahead(records, _CHUNK_ROWS))
+    # Each journal's records, and those of its supporting and disputing
+    # ones, counted a run at a time; its mentioning count is the rest.
+    total: Counter[JournalKey] = Counter()
+    supporting: Counter[JournalKey] = Counter()
+    disputing: Counter[JournalKey] = Counter()
+    for _, keys, classes in runs:
+        total.update(keys)
+        supporting.update(compress(keys, map(is_, classes, repeat(CitationClass.SUPPORTING))))
+        disputing.update(compress(keys, map(is_, classes, repeat(CitationClass.DISPUTING))))
+    journals = list(total)
+    s = list(map(supporting.get, journals, repeat(0)))
+    d = list(map(disputing.get, journals, repeat(0)))
+    m = map(sub, map(sub, map(total.__getitem__, journals), s), d)
+    # A total, supporting or disputing count is a number of records counted,
+    # and a mentioning count is a total less two counts of its records, so
+    # each is an int in [0, records folded]: this is the one place a tally is
+    # built without JournalTally's check.
+    return dict(zip(journals, map(tuple.__new__, repeat(JournalTally), zip(s, d, m))))
+
+
+def _columns(records: list[CitationRecord]) -> Run:
+    """The columns of ``records``. Each must unpack to ``(citing_id,
+    journal, klass)`` with a hashable journal and a CitationClass; the
+    first that does not raises what unpacking it, hashing its journal or
+    looking its class up raises."""
+    try:
+        if set(map(len, records)) == {3}:
+            columns = tuple(zip(*records))
+            if _ONE.keys() >= set(columns[2]):
+                return columns
+    except TypeError:
+        pass
+    return tuple(zip(*map(_checked, records))) or ((), (), ())
+
+
+def _checked(record: CitationRecord) -> tuple[str, JournalKey, CitationClass]:
+    citing_id, journal, klass = record
+    hash(journal)
+    _ONE[klass]
+    return citing_id, journal, klass
 
 
 def write_tally_csv(table: TallyTable, out: IO[str]) -> None:

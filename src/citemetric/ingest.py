@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CitemetricError, MalformedLineError, UnknownClassError
-from .model import CitationClass, CitationRecord, normalize_journal_key
+from .model import CitationClass, CitationRecord, JournalKey, normalize_journal_key
 
 CSV_HEADER = ("citing_id", "journal", "class")
 
@@ -346,11 +346,56 @@ def format_record(record: CitationRecord, fmt: Format) -> str:
     return ",".join(map(csv_field, (record.citing_id, record.journal, record.klass.value)))
 
 
+#: A run of accepted lines: their ``(citing_ids, keys, classes)`` columns,
+#: of one length, keys normalized.
+Run = tuple[Sequence[str], Sequence[JournalKey], Sequence[CitationClass]]
+
+
+class RecordStream:
+    """The lazy record stream of :func:`ingest_stream`: the parser's runs,
+    turned into records only as the stream is read.
+
+    Iterating it hands out one C-level chain over the runs' records, which
+    ``next()`` on the stream shares. :meth:`take_runs` hands out the runs not
+    yet read instead, so :func:`.aggregate.aggregate_corpus` folds an unread
+    or partly read stream without building a record.
+    """
+
+    __slots__ = ("_runs", "_head", "_records")
+
+    def __init__(self, runs: Iterator[Run]) -> None:
+        self._runs = runs
+        #: The records not yet read of the run being read, in a list that
+        #: the chain's generator fills (the stream itself would make a cycle).
+        self._head: list[Iterator[CitationRecord]] = [iter(())]
+        self._records = chain.from_iterable(_records_of(runs, self._head))
+
+    def __iter__(self) -> Iterator[CitationRecord]:
+        return self._records
+
+    def __next__(self) -> CitationRecord:
+        return next(self._records)
+
+    def take_runs(self) -> Iterator[Run]:
+        """The runs not yet read, the unread rest of the run being read
+        first. Reading them reads the stream, and builds no record."""
+        rest = list(self._head[0])
+        if rest:
+            yield tuple(zip(*rest))
+        yield from self._runs
+
+
+def _records_of(runs: Iterator[Run], head: list[Iterator[CitationRecord]]) -> Iterator[Iterator[CitationRecord]]:
+    for run in runs:
+        head[0] = map(tuple.__new__, repeat(CitationRecord), zip(*run))
+        yield head[0]
+
+
 def ingest_stream(
     source: Iterable[str],
     fmt: Format,
     policy: Policy = Policy.STRICT,
-) -> tuple[Iterator[CitationRecord], IngestReport]:
+) -> tuple[RecordStream, IngestReport]:
     """Turn a line stream into a lazy record stream plus an ingest report.
 
     Record order matches line order. Under STRICT the first parse error is
@@ -358,17 +403,21 @@ def ingest_stream(
     under SKIP bad lines are counted and the stream continues. In CSV format
     line 1 must be the exact header ``citing_id,journal,class``; a bad or
     missing header raises under either policy since the whole file is then
-    suspect. The returned report is shared with the generator and is complete
+    suspect. The returned report is shared with the stream and is complete
     only after the stream has been fully consumed.
 
-    Lines are read ahead from ``source`` in batches of a few hundred, and the
-    lines of a batch that parse are turned into records without a Python
-    step per line. Every other line, and each line of a batch the column
-    parser refuses, is parsed on its own by ``one_line``, the only code that
-    words an error. Errors still surface in line order: the records of the
-    lines before a bad line, or before an exception raised by ``source``
-    itself, come out first. A STRICT error ends the stream's one generator,
-    so a caller that catches it and reads on gets no more records.
+    Lines are read ahead from ``source`` in batches of a few hundred. The
+    parser hands out runs: the ``(citing_ids, keys, classes)`` columns of a
+    batch's accepted lines, built without a Python step per line, split
+    only around its bad lines. Every other line, and each line of a batch
+    the column parser refuses, is parsed on its own by ``one_line``, the only
+    code that words an error, and is a run of one if accepted. The
+    :class:`RecordStream` builds records from the runs as it is read, and
+    ``aggregate_corpus`` counts the runs not yet read. Errors still surface in
+    line order: the records of the lines before a bad line, or before an
+    exception raised by ``source`` itself, come out first. A STRICT error
+    ends the stream's one generator, so a caller that catches it and reads on
+    gets no more records.
     """
     report = IngestReport()
     # Per-stream caches of successful lookups only: a failing label or
@@ -378,8 +427,8 @@ def ingest_stream(
     keys: dict[str, str] = {}
     columns = _COLUMNS.get(fmt)
 
-    def one_line(line: str, lineno: int) -> tuple[CitationRecord, ...]:
-        """``(record,)`` for ``line``, line ``lineno``, or ``()`` if it is
+    def one_line(line: str, lineno: int) -> Run | None:
+        """The one-line run of ``line``, line ``lineno``, or None if it is
         skipped; the only code that words an error."""
         try:
             citing_id, journal, label = _fields(line, fmt)
@@ -395,13 +444,13 @@ def ingest_stream(
                 report.first_errors.append((lineno, f"{type(exc).__name__}: {exc}"))
             if policy is Policy.STRICT:
                 raise type(exc)(f"line {lineno}: {exc}") from None
-            return ()
+            return None
         report.accepted += 1
-        return (tuple.__new__(CitationRecord, (citing_id, key, klass)),)
+        return (citing_id,), (key,), (klass,)
 
-    def batches() -> Iterator[Iterable[CitationRecord]]:
-        """Runs of accepted rows, each built by C-level maps, and the
-        ``one_line`` parse of every other line, in line order."""
+    def runs() -> Iterator[Run]:
+        """The runs of accepted rows, each a batch's columns or a slice of
+        them, and the ``one_line`` run of every other line, in line order."""
         lineno = 0
         for batch in read_ahead(source, _BATCH_LINES):
             lines = list(map(str.rstrip, batch, repeat("\r\n")))
@@ -412,23 +461,24 @@ def ingest_stream(
                     lineno = 1
             cols = columns(lines) if columns and lines else None
             if cols is None:
-                yield from map(one_line, lines, count(lineno + 1))
+                yield from filter(None, map(one_line, lines, count(lineno + 1)))
             else:
                 ids, journals, labels = cols
                 klasses = _lookup(classes, labels, _class_of)
                 found = _lookup(keys, journals, _key_of)
-                bad = [i for i, (key, klass) in enumerate(zip(found, klasses)) if key is None or klass is None]
+                bad: list[int] = []  # a clean batch skips the per-line search
+                if None in found or None in klasses:
+                    bad = [i for i, (key, klass) in enumerate(zip(found, klasses)) if key is None or klass is None]
                 start = 0
                 for end in (*bad, len(lines)):
                     if start < end:
                         report.accepted += end - start
-                        rows = zip(ids[start:end], found[start:end], klasses[start:end])
-                        yield map(tuple.__new__, repeat(CitationRecord), rows)
-                    if end < len(lines):
-                        yield one_line(lines[end], lineno + end + 1)
+                        yield ids[start:end], found[start:end], klasses[start:end]
+                    if end < len(lines) and (run := one_line(lines[end], lineno + end + 1)):
+                        yield run
                     start = end + 1
             lineno += len(lines)
         if fmt is Format.CSV and lineno == 0:
             raise MalformedLineError("line 1: missing CSV header")
 
-    return chain.from_iterable(batches()), report
+    return RecordStream(runs()), report

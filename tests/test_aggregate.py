@@ -171,6 +171,26 @@ class TestAggregateCorpus:
     def test_accepts_generator(self):
         assert aggregate_corpus(rec("a", SUP) for _ in range(3)) == {"a": JournalTally(3, 0, 0)}
 
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (("i2", "k", "disputing"), KeyError, "'disputing'"),
+            (("i2", "k", None), KeyError, "None"),
+            (("i2", "k"), ValueError, "not enough values to unpack (expected 3, got 2)"),
+            (("i2", "k", DIS, "extra"), ValueError, "too many values to unpack (expected 3)"),
+            (("i2", ["k"], DIS), TypeError, "unhashable type: 'list'"),
+        ],
+    )
+    @pytest.mark.parametrize("before", [1, 600])
+    @pytest.mark.parametrize("after", [[], [("i3", "k", "mentioning", "extra")]])
+    def test_malformed_record_raises(self, bad, error, message, before, after):
+        # The first malformed record raises, whichever run it is in; a later
+        # one with another fault does not win.
+        records = [("i", "j", SUP)] * before + [bad, *after]
+        with pytest.raises(error) as info:
+            aggregate_corpus(records)
+        assert str(info.value) == message
+
 
 class TestTallyCsv:
     def test_write_sorted_with_total(self):

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import citemetric.cli as cli
+from citemetric import ingest
 from citemetric.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 from citemetric.ingest import CSV_HEADER, Format, format_record
 from citemetric.synth import SynthParams, generate_corpus
@@ -110,6 +111,26 @@ class TestAggregate:
         )
         err = capsys.readouterr().err
         assert "3 accepted, 0 rejected" in err
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["w2,alpha,bogus", 'w2,"alpha,supporting'],  # a batch's columns split around it; a batch parsed line by line
+    )
+    def test_folds_without_building_a_record(self, tmp_path, monkeypatch, bad_line):
+        def no_records(runs, head):
+            raise AssertionError("a CitationRecord was built")
+            yield
+
+        monkeypatch.setattr(ingest, "_records_of", no_records)
+        lines = ["citing_id,journal,class", "w1,alpha,supporting", bad_line, "w3,beta,mentioning", "w4,alpha,disputing"]
+        src = write_lines(tmp_path / "in.csv", lines)
+        out = tmp_path / "t.csv"
+        assert run(["aggregate", "-f", "csv", "--policy", "skip", str(src), "-o", str(out)]) == EXIT_OK
+        assert out.read_text() == (
+            "journal,supporting,disputing,mentioning,total\n"
+            "alpha,1,1,0,2\n"
+            "beta,0,0,1,1\n"
+        )
 
     def test_csv_format(self, tmp_path):
         src = write_lines(

@@ -398,16 +398,29 @@ def assert_batched_equals_per_line(lines, fmt, policy, batch, fail_at=None):
         assert (got, error) == (want, want_error)
         assert (report.accepted, report.rejected, report.first_errors) == want_report
 
-        # The CLI's composition: the fold drains the stream itself.
-        records, report = ingest_stream(_source(lines, fail_at), fmt, policy)
-        try:
-            table = aggregate_corpus(records)
-        except CitemetricError as exc:
-            assert (type(exc), str(exc)) == want_error
-        else:
-            assert want_error is None
-            assert table == reduce(add_record, want, {})
-        assert (report.accepted, report.rejected, report.first_errors) == want_report
+        # The CLI's composition: the fold takes the unread stream's runs.
+        # The traced benchmark's: the stream listed, then the list folded.
+        # And a stream read k records in: the fold counts the rest.
+        for fold in (aggregate_corpus, lambda records: aggregate_corpus(list(records))):
+            records, report = ingest_stream(_source(lines, fail_at), fmt, policy)
+            assert_fold_equals(fold, records, want, want_error)
+            assert (report.accepted, report.rejected, report.first_errors) == want_report
+        for k in sorted({1, len(want) // 2, len(want)} - {0}) if want else ():
+            records, report = ingest_stream(_source(lines, fail_at), fmt, policy)
+            assert [next(records) for _ in range(k)] == want[:k]
+            assert_fold_equals(aggregate_corpus, records, want[k:], want_error)
+            assert (report.accepted, report.rejected, report.first_errors) == want_report
+
+
+def assert_fold_equals(fold, records, want, want_error):
+    try:
+        table = fold(records)
+    except CitemetricError as exc:
+        assert (type(exc), str(exc)) == want_error
+    else:
+        assert want_error is None
+        assert table == reduce(add_record, want, {})
+    assert next(records, None) is None  # the fold read the stream to its end or its error
 
 
 _PINNED = {
