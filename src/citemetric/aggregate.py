@@ -3,8 +3,8 @@
 :func:`aggregate_corpus` is the one fold. It counts runs: the
 ``(citing_ids, keys, classes)`` columns of many records, counted a column
 at a time by C-level passes. A :class:`.ingest.RecordStream` hands over the
-runs its parser made, so a stream not yet read, or partly read, is folded
-without building a record; any other iterable of records is cut into runs.
+runs its parser made, so a stream not yet read is folded without building
+a record; any other iterable of records is cut into runs.
 
 Tables form a commutative monoid under :func:`merge_tables` with the empty
 table as identity, so the byte ranges and the input files that ``aggregate``

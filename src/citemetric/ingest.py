@@ -358,7 +358,8 @@ class RecordStream:
     Iterating it hands out one C-level chain over the runs' records, which
     ``next()`` on the stream shares. :meth:`take_runs` hands out the runs not
     yet read instead, so :func:`.aggregate.aggregate_corpus` folds an unread
-    or partly read stream without building a record.
+    stream without building a record, and a partly read one building only
+    the rest of the run it is in.
     """
 
     __slots__ = ("_runs", "_head", "_records")
@@ -378,7 +379,8 @@ class RecordStream:
 
     def take_runs(self) -> Iterator[Run]:
         """The runs not yet read, the unread rest of the run being read
-        first. Reading them reads the stream, and builds no record."""
+        first. Reading them reads the stream; of its records, only that
+        rest is built."""
         rest = list(self._head[0])
         if rest:
             yield tuple(zip(*rest))
