@@ -29,7 +29,7 @@ import stat
 import sys
 import threading
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import IO, Callable, Iterator, NoReturn, Sequence
 
@@ -293,15 +293,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     with _atomic_write(args.output) as fh:
         if fmt is Format.CSV:
             fh.write(",".join(CSV_HEADER) + "\n")
-        # Runs of identical records are common (the generator emits each
-        # journal's records class by class), so each run is formatted once.
+        # Each (journal, class) run is formatted once, written in chunks counted in C.
         for record, run in groupby(generate_corpus(params)):
             line = format_record(record, fmt) + "\n"
-            left = sum(1 for _ in run)
-            while left:
-                n = min(left, _SYNTH_CHUNK_LINES)
+            while n := len(list(islice(run, _SYNTH_CHUNK_LINES))):
                 fh.write(line * n)
-                left -= n
     return EXIT_OK
 
 

@@ -12,7 +12,9 @@ Distribution samplers deliberately avoid platform library code:
   partner is discarded so no state is cached between calls).
 - gamma: Marsaglia & Tsang (2000) squeeze/rejection, with the standard
   u^(1/shape) boost for shape < 1.
-- beta: ratio of two gamma variates.
+- beta: ratio of two gamma variates, redrawn while both underflow to 0.0;
+  shapes with alpha + beta below 1e-8, whose redraws would take over 1.3e5
+  tries, raise instead.
 - binomial: single-uniform inversion by sequential search over the pmf,
   started at the distribution mode and walking outward alternately; the
   mode start keeps the search O(sqrt(n p q)) and avoids the underflow of
@@ -29,10 +31,12 @@ import math
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-#: Below this shape a gamma variate is 0.0 unless its boost uniform is
-#: exactly 1.0 (odds 2**-53): ``(1 - 2**-53) ** 1e19`` is exp(-1110), which
-#: underflows. A Beta draw with both shapes below it would retry ~2**52 times.
-_MIN_BETA_SHAPE = 1e-19
+#: The least ``alpha + beta`` a Beta draw accepts. At a tiny shape a, a gamma
+#: variate is nonzero only when its boost uniform exceeds about exp(-744 * a)
+#: (exp(-745) is below the least subnormal), odds of about 744 * a. So a Beta
+#: try succeeds with odds of about 744 * (alpha + beta), and below this sum a
+#: draw expects over 1.3e5 tries.
+_MIN_BETA_SHAPE_SUM = 1e-8
 
 
 def _mix(z: int) -> int:
@@ -112,11 +116,11 @@ def beta_variate(rng: SplitMix64, alpha: float, beta: float) -> float:
     gamma variates underflow to 0.0.
 
     Raises:
-        FloatingPointError: both shapes below ``_MIN_BETA_SHAPE``, where
-            that redraw would never end.
+        FloatingPointError: ``alpha + beta`` below ``_MIN_BETA_SHAPE_SUM``
+            (1e-8), where that redraw would take over 1.3e5 tries.
     """
-    if alpha < _MIN_BETA_SHAPE and beta < _MIN_BETA_SHAPE:
-        raise FloatingPointError(f"Beta({alpha}, {beta}) draws underflow to 0/0")
+    if alpha + beta < _MIN_BETA_SHAPE_SUM:
+        raise FloatingPointError(f"Beta({alpha}, {beta}) draws underflow to 0/0: alpha + beta is below {_MIN_BETA_SHAPE_SUM}")
     while True:
         x = gamma_variate(rng, alpha)
         y = gamma_variate(rng, beta)

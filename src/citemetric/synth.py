@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator
 
 from .errors import InvalidParamsError
@@ -113,17 +113,20 @@ def journal_counts(params: SynthParams, index: int) -> tuple[int, int, int, int]
 
 
 def generate_corpus(params: SynthParams) -> Iterator[CitationRecord]:
-    """Yield the corpus records, deterministically for a fixed seed.
+    """Return the corpus records, deterministically for a fixed seed.
 
     Journals are emitted in index order under zero-padded keys
     (``journal-000000``, ...), each journal's records grouped as supporting,
     then disputing, then mentioning. Journals whose drawn counts are all zero
     emit nothing. ``citing_id`` is left empty.
+
+    Each (journal, class) run repeats one record, chained in C, so no Python
+    step runs per record. A journal is drawn, and may raise
+    :class:`InvalidParamsError`, only when the iterator reaches it.
     """
     width = max(6, len(str(params.journals - 1)))
-    for index in range(params.journals):
-        _, supporting, disputing, mentioning = journal_counts(params, index)
-        journal = f"journal-{index:0{width}d}"
-        yield from repeat(CitationRecord("", journal, CitationClass.SUPPORTING), supporting)
-        yield from repeat(CitationRecord("", journal, CitationClass.DISPUTING), disputing)
-        yield from repeat(CitationRecord("", journal, CitationClass.MENTIONING), mentioning)
+    return chain.from_iterable(
+        repeat(CitationRecord("", f"journal-{index:0{width}d}", klass), n)
+        for index in range(params.journals)
+        for klass, n in zip(CitationClass, journal_counts(params, index)[1:])
+    )

@@ -14,6 +14,8 @@ import sys
 import tempfile
 import threading
 import time
+from collections import deque
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -22,10 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import citemetric.cli as cli
-from citemetric import ingest
+from citemetric import ingest, synth
 from citemetric.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 from citemetric.ingest import CSV_HEADER, Format, format_record
-from citemetric.synth import SynthParams, generate_corpus
+from citemetric.synth import SynthParams, generate_corpus, journal_counts
 
 #: A field longer than the csv module's default field size limit (131072).
 HUGE = "x" * 200_000
@@ -760,8 +762,14 @@ class TestSynth:
         assert out.read_bytes() == b"old corpus\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
 
-    @pytest.mark.parametrize("fmt", list(Format))
-    def test_output_equals_per_record_formatting(self, tmp_path, fmt):
+    # Chunks of 1 and 2 lines end runs on and just past a chunk; the default
+    # 1024 ends most runs inside one.
+    @pytest.mark.parametrize(
+        "fmt, chunk",
+        [pytest.param(fmt, chunk, id=f"{fmt}" if chunk == 1024 else f"{fmt}-chunk{chunk}") for fmt in Format for chunk in (1, 2, 1024)],
+    )
+    def test_output_equals_per_record_formatting(self, tmp_path, monkeypatch, fmt, chunk):
+        monkeypatch.setattr(cli, "_SYNTH_CHUNK_LINES", chunk)
         params = SynthParams(journals=30, seed=11)
         reference = "".join(format_record(rec, fmt) + "\n" for rec in generate_corpus(params))
         if fmt is Format.CSV:
@@ -770,6 +778,67 @@ class TestSynth:
         args = ["synth", "--journals", "30", "--seed", "11", "-f", fmt.value, "-o", str(out)]
         assert run(args) == EXIT_OK
         assert out.read_bytes() == reference.encode("utf-8")
+
+    # Recorded on x86-64 Linux/glibc; like the acceptance goldens, a libm
+    # that rounds log/exp/cos differently could move a count (README).
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            (Format.JSONL, "c52b8a4b1d254f650f367c5ce2fcff5c3a3eb0d207d33c2880882f833cf71c62"),
+            (Format.CSV, "5dd166e5b2ac126a74ddb761fa3bc1d4077c07051379524c83ee90de4e221153"),
+        ],
+    )
+    def test_paper_preset_corpus_bytes_are_pinned(self, tmp_path, fmt, digest):
+        out = tmp_path / "c"
+        assert run(["synth", "--preset", "paper", "--journals", "500", "-f", fmt.value, "-o", str(out)]) == EXIT_OK
+        data = out.read_bytes()
+        assert data.count(b"\n") == 356_775 + (fmt is Format.CSV)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_no_python_frame_runs_per_record(self, tmp_path):
+        params = SynthParams(journals=40, lognormal_mu=7.0, lognormal_sigma=0.1, seed=3)
+        records = sum(c + m for c, _, _, m in map(partial(journal_counts, params), range(params.journals)))
+        assert records == 222_530
+
+        def frames(fn):
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += event == "call"
+
+            old = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                fn()
+            finally:
+                sys.setprofile(old)
+            return calls
+
+        assert frames(lambda: deque(generate_corpus(params), maxlen=0)) < records / 10
+        out = tmp_path / "c.jsonl"
+        args = ["synth", "--journals", "40", "--lognormal-mu", "7", "--lognormal-sigma", "0.1", "--seed", "3", "-o", str(out)]
+        assert frames(lambda: run(args)) < records / 10
+        assert out.read_bytes().count(b"\n") == records
+
+    def test_a_journal_that_fails_mid_corpus_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        params = SynthParams(journals=40, seed=7)
+        totals = [c + m for c, _, _, m in map(partial(journal_counts, params), range(params.journals))]
+        k = next(i for i in range(1, params.journals) if totals[i] > max(totals[:i]))
+        monkeypatch.setattr(synth, "MAX_JOURNAL_RECORDS", totals[k] - 1)
+        assert run(["synth", "--journals", "40", "--seed", "7", "-o", str(tmp_path / "c.jsonl")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"citemetric: error: cannot draw journal {k} with ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_beta_shapes_summing_below_1e_8_exit_quickly(self, tmp_path):
+        # Each Beta try succeeds with odds of about 744 * (alpha + beta), so
+        # these shapes would redraw for ~7 * 10**11 tries.
+        args = ["synth", "--journals", "1", "--beta-alpha", "1e-15", "--beta-beta", "1e-15", "-o", tmp_path / "c.jsonl"]
+        proc = subprocess.run(**cli_child(args), capture_output=True, text=True, timeout=5)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("citemetric: error: cannot draw journal 0 with ")
+        assert "beta_alpha=1e-15, beta_beta=1e-15" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

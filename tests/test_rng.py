@@ -131,6 +131,18 @@ class TestContinuousSamplers:
         xs = [beta_variate(rng, 2.0, 2.0) for _ in range(20_000)]
         assert sum(xs) / len(xs) == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("alpha, beta", [(1e-300, 1e-300), (1e-15, 1e-15), (4.9e-9, 4.9e-9), (1e-300, 9.9e-9)])
+    def test_beta_rejects_a_shape_sum_below_1e_8(self, alpha, beta):
+        # Each try succeeds with odds of about 744 * (alpha + beta).
+        with pytest.raises(FloatingPointError, match=rf"^Beta\({alpha}, {beta}\) .* below 1e-08$"):
+            beta_variate(SplitMix64(1), alpha, beta)
+
+    def test_beta_with_one_tiny_shape_still_draws(self):
+        # The other gamma variate is almost never 0, so the draw ends at once.
+        rng = SplitMix64(16)
+        assert [beta_variate(rng, 1e-300, 1.0) for _ in range(5)] == [0.0] * 5
+        assert [beta_variate(rng, 1.0, 1e-300) for _ in range(5)] == [1.0] * 5
+
 
 class _FixedU:
     """Stand-in RNG whose single uniform draw is chosen by the test."""

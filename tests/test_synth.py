@@ -128,6 +128,17 @@ class TestGenerateCorpus:
         first = next(iter(generate_corpus(p)))
         assert first.journal == "journal-0000000"
 
+    def test_a_journal_that_fails_mid_corpus_ends_it_after_the_earlier_journals(self, monkeypatch):
+        records = list(generate_corpus(SMALL))
+        totals = [c + m for c, _, _, m in (journal_counts(SMALL, i) for i in range(SMALL.journals))]
+        # The first journal past journal 0 that holds more records than every earlier one.
+        k = next(i for i in range(1, SMALL.journals) if totals[i] > max(totals[:i]))
+        monkeypatch.setattr(synth, "MAX_JOURNAL_RECORDS", totals[k] - 1)
+        corpus = generate_corpus(SMALL)
+        assert list(islice(corpus, sum(totals[:k]))) == [r for r in records if r.journal < f"journal-{k:06d}"]
+        with pytest.raises(InvalidParamsError, match=f"^cannot draw journal {k} with "):
+            next(corpus)
+
     def test_citing_id_left_empty(self):
         assert all(r.citing_id == "" for r in islice(generate_corpus(SMALL), 200))
 
