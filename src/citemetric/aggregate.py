@@ -1,10 +1,8 @@
 """Fold citation records into a per-journal tally table.
 
-:func:`aggregate_corpus` is the one fold. It counts runs: the
-``(citing_ids, keys, classes)`` columns of many records, counted a column
-at a time by C-level passes. A :class:`.ingest.RecordStream` hands over the
-runs its parser made, so a stream not yet read is folded without building
-a record; any other iterable of records is cut into runs.
+:func:`aggregate_corpus` is the one fold. It counts the runs
+:func:`.ingest.runs_of` hands it: the ``(citing_ids, keys, classes)``
+columns of many records, counted a column at a time by C-level passes.
 
 Tables form a commutative monoid under :func:`merge_tables` with the empty
 table as identity, so the byte ranges and the input files that ``aggregate``
@@ -22,7 +20,7 @@ from operator import add, is_, sub
 from typing import IO, Iterable, Iterator
 
 from .errors import ArithmeticOverflowError, EmptyKeyError, MalformedLineError
-from .ingest import RecordStream, Run, csv_field, read_ahead
+from .ingest import csv_field, read_ahead, runs_of
 from .model import (
     U64_MAX,
     CitationClass,
@@ -40,7 +38,7 @@ TallyTable = dict[JournalKey, JournalTally]
 #: members iterate in that order.
 _ONE = {klass: tuple(int(k is klass) for k in CitationClass) for klass in CitationClass}
 
-#: Most tally-CSV rows, or records of a record list, read and checked together.
+#: Most tally-CSV rows read and checked together.
 _CHUNK_ROWS = 512
 
 
@@ -90,20 +88,16 @@ def add_counts(table: TallyTable, rows: Iterable[tuple[JournalKey, int, int, int
 def aggregate_corpus(records: Iterable[CitationRecord]) -> TallyTable:
     """Tally a record stream: the table :func:`add_record` would build.
 
-    A :class:`.ingest.RecordStream` is folded from the runs it has not yet
-    handed out, and no record is built for them; any other iterable is read
-    in runs of ``_CHUNK_ROWS`` records, checked as :func:`_columns` says.
+    The records are counted in the runs :func:`.ingest.runs_of` makes of
+    them, so a stream :func:`.ingest.ingest_stream` returned and nothing
+    has iterated is folded without building a record.
     """
-    if isinstance(records, RecordStream):
-        runs = records.take_runs()
-    else:
-        runs = map(_columns, read_ahead(records, _CHUNK_ROWS))
     # Each journal's records, and those of its supporting and disputing
     # ones, counted a run at a time; its mentioning count is the rest.
     total: Counter[JournalKey] = Counter()
     supporting: Counter[JournalKey] = Counter()
     disputing: Counter[JournalKey] = Counter()
-    for _, keys, classes in runs:
+    for _, keys, classes in runs_of(records):
         total.update(keys)
         supporting.update(compress(keys, map(is_, classes, repeat(CitationClass.SUPPORTING))))
         disputing.update(compress(keys, map(is_, classes, repeat(CitationClass.DISPUTING))))
@@ -116,28 +110,6 @@ def aggregate_corpus(records: Iterable[CitationRecord]) -> TallyTable:
     # each is an int in [0, records folded]: this is the one place a tally is
     # built without JournalTally's check.
     return dict(zip(journals, map(tuple.__new__, repeat(JournalTally), zip(s, d, m))))
-
-
-def _columns(records: list[CitationRecord]) -> Run:
-    """The columns of ``records``. Each must unpack to ``(citing_id,
-    journal, klass)`` with a hashable journal and a CitationClass; the
-    first that does not raises what unpacking it, hashing its journal or
-    looking its class up raises."""
-    try:
-        if set(map(len, records)) == {3}:
-            columns = tuple(zip(*records))
-            if _ONE.keys() >= set(columns[2]):
-                return columns
-    except TypeError:
-        pass
-    return tuple(zip(*map(_checked, records))) or ((), (), ())
-
-
-def _checked(record: CitationRecord) -> tuple[str, JournalKey, CitationClass]:
-    citing_id, journal, klass = record
-    hash(journal)
-    _ONE[klass]
-    return citing_id, journal, klass
 
 
 def write_tally_csv(table: TallyTable, out: IO[str]) -> None:

@@ -3,8 +3,12 @@
 Two line-oriented formats are supported: headered CSV
 (``citing_id,journal,class``) and JSONL (one object per line with those keys,
 ``citing_id`` optional). Files must be UTF-8; a BOM on the first line is
-stripped. Because parsing is line-by-line, fields may not contain newlines.
-The package's one CSV quoting rule and one read-ahead loop live here too.
+stripped. Because parsing is line-by-line, fields may not contain newlines,
+and no line may hold more than ``MAX_LINE_BYTES`` bytes. The parser hands
+out runs, the columns of many records; :class:`RecordStream` turns them
+into records and :func:`runs_of` turns records back into runs, so the fold
+never sees which it was given. The package's one CSV quoting rule and one
+read-ahead loop live here too.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, count, islice, repeat
+from functools import partial
+from itertools import chain, count, islice, repeat, starmap
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -28,11 +33,18 @@ CSV_HEADER = ("citing_id", "journal", "class")
 MAX_REPORTED_ERRORS = 20
 
 _CLASS_BY_LABEL = {c.value: c for c in CitationClass}
+_CLASSES = frozenset(CitationClass)
 
-#: Bytes read per block; each block is decoded up to its last newline.
+#: Most bytes a line, its ``\n`` included, may hold; read_lines refuses a
+#: longer one before it holds more.
+MAX_LINE_BYTES = 1 << 20
+
+#: Bytes read per block (at most MAX_LINE_BYTES); each block is decoded up
+#: to its last newline.
 _BLOCK_BYTES = 1 << 14
 
-#: Lines ingest_stream reads ahead and parses together.
+#: Lines ingest_stream reads ahead and parses together, and records
+#: runs_of reads into one run.
 _BATCH_LINES = 256
 
 
@@ -121,7 +133,10 @@ def read_lines(path: str, start: int = 0, length: int | None = None) -> Iterator
 
     Raises:
         MalformedLineError: invalid UTF-8, named at its offset in the file,
-            after the lines before its ``\\n``-terminated line are yielded.
+            after the lines before its ``\\n``-terminated line are yielded;
+            or a line of more than ``MAX_LINE_BYTES`` bytes up to its
+            ``\\n``, named at the offset it starts at, after the lines
+            before it are yielded.
     """
     return chain.from_iterable(_blocks(path, start, length))
 
@@ -131,15 +146,20 @@ def _blocks(path: str, start: int, length: int | None) -> Iterator[Iterator[str]
         if start:
             fh.seek(start)
         left = float("inf") if length is None else length
-        offset, head = start, []  # head: the bytes read since the last newline, from offset on
+        offset, head, held = start, [], 0  # head: the bytes read since the last newline, from offset on; held: their count
         while left > 0 and (block := fh.read(min(_BLOCK_BYTES, left))):
             left -= len(block)
+            # Each line after the block's first newline lies in the block,
+            # so only the line head starts can pass the cap.
+            if held + (block.find(b"\n") + 1 or len(block)) > MAX_LINE_BYTES:
+                raise MalformedLineError(f"line too long: the line at byte {offset} holds more than {MAX_LINE_BYTES} bytes")
             cut = block.rfind(b"\n") + 1
             if cut:
                 data = b"".join((*head, block[:cut]))
                 yield from _decode(data, offset)
-                offset, head, block = offset + len(data), [], block[cut:]
+                offset, head, held, block = offset + len(data), [], 0, block[cut:]
             head.append(block)
+            held += len(block)
         yield from _decode(b"".join(head), offset)
 
 
@@ -355,42 +375,57 @@ class RecordStream:
     """The lazy record stream of :func:`ingest_stream`: the parser's runs,
     turned into records only as the stream is read.
 
-    Iterating it hands out one C-level chain over the runs' records, which
-    ``next()`` on the stream shares. :meth:`take_runs` hands out the runs not
-    yet read instead, so :func:`.aggregate.aggregate_corpus` folds an unread
-    stream without building a record, and a partly read one building only
-    the rest of the run it is in.
+    Iterating it, and ``next()`` on it, read one C-level chain over the
+    runs' records, built on first iteration. Until then :func:`runs_of`
+    hands over the runs themselves.
     """
 
-    __slots__ = ("_runs", "_head", "_records")
+    __slots__ = ("_runs", "_records")
 
     def __init__(self, runs: Iterator[Run]) -> None:
         self._runs = runs
-        #: The records not yet read of the run being read, in a list that
-        #: the chain's generator fills (the stream itself would make a cycle).
-        self._head: list[Iterator[CitationRecord]] = [iter(())]
-        self._records = chain.from_iterable(_records_of(runs, self._head))
+        self._records: Iterator[CitationRecord] | None = None
 
     def __iter__(self) -> Iterator[CitationRecord]:
+        if self._records is None:
+            build = partial(map, tuple.__new__, repeat(CitationRecord))  # one run's records
+            self._records = chain.from_iterable(map(build, starmap(zip, self._runs)))
         return self._records
 
     def __next__(self) -> CitationRecord:
-        return next(self._records)
-
-    def take_runs(self) -> Iterator[Run]:
-        """The runs not yet read, the unread rest of the run being read
-        first. Reading them reads the stream; of its records, only that
-        rest is built."""
-        rest = list(self._head[0])
-        if rest:
-            yield tuple(zip(*rest))
-        yield from self._runs
+        return next(self._records or iter(self))
 
 
-def _records_of(runs: Iterator[Run], head: list[Iterator[CitationRecord]]) -> Iterator[Iterator[CitationRecord]]:
-    for run in runs:
-        head[0] = map(tuple.__new__, repeat(CitationRecord), zip(*run))
-        yield head[0]
+def runs_of(records: Iterable[CitationRecord]) -> Iterator[Run]:
+    """The records as runs: a :class:`RecordStream` never iterated hands
+    over its parser's runs, so no record is built; anything else is read in
+    lists of ``_BATCH_LINES`` records, each checked by :func:`_columns`."""
+    if isinstance(records, RecordStream) and records._records is None:
+        return records._runs
+    return map(_columns, read_ahead(records, _BATCH_LINES))
+
+
+def _columns(records: list[CitationRecord]) -> Run:
+    """The columns of ``records``; the one place records become a run. Each
+    must unpack to ``(citing_id, journal, klass)`` with a hashable journal
+    and a CitationClass; the first that does not raises what unpacking it,
+    hashing its journal or looking its class up raises."""
+    try:
+        if set(map(len, records)) == {3}:
+            columns = tuple(zip(*records))
+            if _CLASSES >= set(columns[2]):
+                return columns
+    except TypeError:
+        pass
+    return tuple(zip(*map(_checked, records))) or ((), (), ())
+
+
+def _checked(record: CitationRecord) -> tuple[str, JournalKey, CitationClass]:
+    citing_id, journal, klass = record
+    hash(journal)
+    if klass not in _CLASSES:
+        raise KeyError(klass)
+    return citing_id, journal, klass
 
 
 def ingest_stream(
@@ -414,12 +449,12 @@ def ingest_stream(
     only around its bad lines. Every other line, and each line of a batch
     the column parser refuses, is parsed on its own by ``one_line``, the only
     code that words an error, and is a run of one if accepted. The
-    :class:`RecordStream` builds records from the runs as it is read, and
-    ``aggregate_corpus`` counts the runs not yet read. Errors still surface in
-    line order: the records of the lines before a bad line, or before an
-    exception raised by ``source`` itself, come out first. A STRICT error
-    ends the stream's one generator, so a caller that catches it and reads on
-    gets no more records.
+    :class:`RecordStream` builds records from the runs once it is iterated;
+    until then ``aggregate_corpus`` counts the runs themselves. Errors still
+    surface in line order: the records of the lines before a bad line, or
+    before an exception raised by ``source`` itself, come out first. A
+    STRICT error ends the stream's one generator, so a caller that catches
+    it and reads on gets no more records.
     """
     report = IngestReport()
     # Per-stream caches of successful lookups only: a failing label or

@@ -6,7 +6,10 @@ A file is cut into at most one range per usable CPU, each at least
 lines read per range, concatenated, are the lines of the whole file (a
 ``\\r\\n`` pair is never split and a bare ``\\r`` stays inside its range). A cut
 never lands before a line that starts with a byte order mark, which only a
-file's first line may carry.
+file's first line may carry. A cut's scan for a ``\\n`` stops after
+``MAX_LINE_BYTES + 1`` bytes, so only a line that ``read_lines`` refuses can
+hold a cut; the range before the cut holds more than ``MAX_LINE_BYTES`` of
+it and refuses it at the offset where it starts, as a whole-file read would.
 
 :func:`fold_file` folds the first range in this process and every other
 one in a forked worker, which streams its tally back over a pipe as
@@ -31,7 +34,7 @@ from typing import IO, Callable
 from . import errors
 from .aggregate import TallyTable, add_counts
 from .errors import CitemetricError
-from .ingest import IngestReport
+from .ingest import MAX_LINE_BYTES, IngestReport
 
 #: Smallest range worth a worker of its own.
 MIN_RANGE_BYTES = 1 << 20
@@ -74,11 +77,11 @@ def plan_ranges(path: str, parts: int) -> list[Range]:
     with open(path, "rb") as fh:
         for i in range(1, parts):
             fh.seek(max(size * i // parts - 1, cuts[-1]))
-            fh.readline()
+            fh.readline(MAX_LINE_BYTES + 1)
             cut = fh.tell()
             while fh.read(len(_BOM)) == _BOM:
                 fh.seek(cut)
-                fh.readline()
+                fh.readline(MAX_LINE_BYTES + 1)
                 cut = fh.tell()
             if cut >= size:
                 break

@@ -82,6 +82,10 @@ def default_paper_regime() -> SynthParams:
 #: paper regime's largest journals hold well under a million.
 MAX_JOURNAL_RECORDS = 10**8
 
+#: The most records a whole corpus may hold, for the same reason: a corpus
+#: file this large holds ~5 GB. The paper preset holds under 5 * 10**6.
+MAX_CORPUS_RECORDS = 10**8
+
 
 def journal_counts(params: SynthParams, index: int) -> tuple[int, int, int, int]:
     """Draw (classified, supporting, disputing, mentioning) for one journal.
@@ -122,11 +126,23 @@ def generate_corpus(params: SynthParams) -> Iterator[CitationRecord]:
 
     Each (journal, class) run repeats one record, chained in C, so no Python
     step runs per record. A journal is drawn, and may raise
-    :class:`InvalidParamsError`, only when the iterator reaches it.
+    :class:`InvalidParamsError`, only when the iterator reaches it; so does
+    the first journal that would take the corpus past ``MAX_CORPUS_RECORDS``,
+    before any of its records.
     """
     width = max(6, len(str(params.journals - 1)))
-    return chain.from_iterable(
-        repeat(CitationRecord("", f"journal-{index:0{width}d}", klass), n)
-        for index in range(params.journals)
-        for klass, n in zip(CitationClass, journal_counts(params, index)[1:])
-    )
+
+    def runs() -> Iterator[Iterator[CitationRecord]]:
+        records = 0
+        for index in range(params.journals):
+            counts = journal_counts(params, index)[1:]
+            records += sum(counts)
+            if records > MAX_CORPUS_RECORDS:
+                raise InvalidParamsError(
+                    f"cannot draw journal {index}: the corpus would hold {records} records, "
+                    f"more than the {MAX_CORPUS_RECORDS} it may hold"
+                )
+            for klass, n in zip(CitationClass, counts):
+                yield repeat(CitationRecord("", f"journal-{index:0{width}d}", klass), n)
+
+    return chain.from_iterable(runs())

@@ -24,13 +24,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import citemetric.cli as cli
-from citemetric import ingest, synth
+from citemetric import ingest, ranges, synth
 from citemetric.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 from citemetric.ingest import CSV_HEADER, Format, format_record
 from citemetric.synth import SynthParams, generate_corpus, journal_counts
 
 #: A field longer than the csv module's default field size limit (131072).
 HUGE = "x" * 200_000
+#: The most bytes a line may hold, its newline included.
+MIB = 1 << 20
 
 GOOD_LINES = [
     '{"journal":"alpha","class":"supporting"}',
@@ -115,17 +117,28 @@ class TestAggregate:
         assert "3 accepted, 0 rejected" in err
 
     @pytest.mark.parametrize(
-        "bad_line",
-        ["w2,alpha,bogus", 'w2,"alpha,supporting'],  # a batch's columns split around it; a batch parsed line by line
+        "bad_line, parts",
+        [
+            pytest.param(bad_line, parts, id=bad_line if parts == 1 else f"{bad_line}-forked")
+            for parts in (1, 2)
+            # a batch's columns split around it; a batch parsed line by line
+            for bad_line in ("w2,alpha,bogus", 'w2,"alpha,supporting')
+        ],
     )
-    def test_folds_without_building_a_record(self, tmp_path, monkeypatch, bad_line):
-        def no_records(runs, head):
-            raise AssertionError("a CitationRecord was built")
-            yield
+    def test_folds_without_building_a_record(self, tmp_path, monkeypatch, bad_line, parts):
+        def read(stream):
+            raise AssertionError("a RecordStream was iterated")
 
-        monkeypatch.setattr(ingest, "_records_of", no_records)
+        monkeypatch.setattr(ingest.RecordStream, "__iter__", read)
+        monkeypatch.setattr(ingest.RecordStream, "__next__", read)
+        monkeypatch.setattr(ingest, "CitationRecord", None)  # a record built in ingest raises TypeError
+        # Forked workers inherit the patches: one that builds a record exits
+        # non-zero, and the run exits 3.
+        monkeypatch.setattr(ranges, "usable_cpus", lambda: parts)
+        monkeypatch.setattr(ranges, "MIN_RANGE_BYTES", 32)
         lines = ["citing_id,journal,class", "w1,alpha,supporting", bad_line, "w3,beta,mentioning", "w4,alpha,disputing"]
         src = write_lines(tmp_path / "in.csv", lines)
+        assert len(ranges.plan_ranges(str(src), parts)) == parts
         out = tmp_path / "t.csv"
         assert run(["aggregate", "-f", "csv", "--policy", "skip", str(src), "-o", str(out)]) == EXIT_OK
         assert out.read_text() == (
@@ -219,6 +232,63 @@ class TestAggregate:
         code = run(["aggregate", "-f", "csv", "--policy", "skip", str(src), "-o", str(tmp_path / "t.csv")])
         assert code == EXIT_DATA
         assert "line 1: invalid CSV" in capsys.readouterr().err
+
+    @staticmethod
+    def journal_line(size: int) -> tuple[str, str]:
+        """A JSONL line of ``size`` bytes, its newline included, without the
+        newline, and its journal."""
+        head, tail = '{"journal":"', '","class":"supporting"}\n'
+        journal = "x" * (size - len(head) - len(tail))
+        return head + journal + tail[:-1], journal
+
+    @pytest.mark.parametrize("policy", ["strict", "skip"])
+    def test_a_line_over_the_cap_is_a_data_error_at_its_offset(self, tmp_path, capsys, policy):
+        src = write_lines(tmp_path / "in.jsonl", [GOOD_LINES[0], self.journal_line(MIB + 1)[0], GOOD_LINES[1]])
+        out = tmp_path / "t.csv"
+        assert run(["aggregate", "--policy", policy, str(src), "-o", str(out)]) == EXIT_DATA
+        offset = len(GOOD_LINES[0]) + 1
+        assert capsys.readouterr().err == (
+            f"citemetric: error: {src}: line too long: the line at byte {offset} holds more than 1048576 bytes\n"
+        )
+        assert not out.exists()
+
+    def test_a_line_of_exactly_the_cap_is_accepted(self, tmp_path, capsys):
+        line, journal = self.journal_line(MIB)
+        src = write_lines(tmp_path / "in.jsonl", [GOOD_LINES[0], line, GOOD_LINES[1]])
+        out = tmp_path / "t.csv"
+        assert run(["aggregate", str(src), "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == f"{src}: 3 accepted, 0 rejected\n"
+        assert out.read_text() == (
+            "journal,supporting,disputing,mentioning,total\n"
+            "alpha,1,1,0,2\n"
+            f"{journal},1,0,0,1\n"
+        )
+
+    def test_one_long_line_without_a_newline_is_never_held(self, tmp_path):
+        # 32 MiB in one line: refused after its first MiB, with no range
+        # cut scanning the rest for a newline.
+        src = tmp_path / "in.jsonl"
+        with open(src, "wb") as fh:
+            fh.write(b'{"journal":"')
+            for _ in range(32):
+                fh.write(b"x" * (1 << 20))
+            fh.write(b'","class":"supporting"}')
+        # Peak RSS from os.wait4 in a small waiter process: a child of this
+        # test process would count this process's pages as its own.
+        child = cli_child(["aggregate", src, "-o", tmp_path / "t.csv"])
+        waiter = (
+            "import os, sys\n"
+            "_, status, usage = os.wait4(os.spawnv(os.P_NOWAIT, sys.argv[1], sys.argv[1:]), 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", waiter, *child["args"]], env=child["env"], capture_output=True, text=True, timeout=60
+        )
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == EXIT_DATA
+        assert proc.stderr.endswith("line too long: the line at byte 0 holds more than 1048576 bytes\n")
+        assert peak_kib < 64 * 1024
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
 
 
 class TestUnwritableStderr:
@@ -440,6 +510,15 @@ class TestReport:
         tally = make_tally(tmp_path / "t.csv", [("alpha", 1, 2, 3), (HUGE, 1, 2, 3)])
         assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
         assert "line 3: invalid CSV: field larger than field limit" in capsys.readouterr().err
+
+    def test_a_tally_line_over_the_cap_is_a_data_error(self, tmp_path, capsys):
+        tally = make_tally(tmp_path / "t.csv", [("alpha", 1, 2, 3), ("x" * MIB, 1, 2, 3)])
+        assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
+        offset = len("journal,supporting,disputing,mentioning,total\nalpha,1,2,3,6\n")
+        assert capsys.readouterr().err == (
+            f"citemetric: error: {tally}: line too long: the line at byte {offset} holds more than 1048576 bytes\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_bom_before_tally_header_is_tolerated(self, tmp_path):
         _, plain = self.run_report(tmp_path)
@@ -828,6 +907,18 @@ class TestSynth:
         monkeypatch.setattr(synth, "MAX_JOURNAL_RECORDS", totals[k] - 1)
         assert run(["synth", "--journals", "40", "--seed", "7", "-o", str(tmp_path / "c.jsonl")]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"citemetric: error: cannot draw journal {k} with ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_journal_past_the_corpus_bound_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        params = SynthParams(journals=40, seed=7)
+        totals = [c + m for c, _, _, m in map(partial(journal_counts, params), range(params.journals))]
+        bound = sum(totals[:20]) + totals[20] - 1
+        monkeypatch.setattr(synth, "MAX_CORPUS_RECORDS", bound)
+        assert run(["synth", "--journals", "40", "--seed", "7", "-o", str(tmp_path / "c.jsonl")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"citemetric: error: cannot draw journal 20: the corpus would hold {bound + 1} records, "
+            f"more than the {bound} it may hold\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_beta_shapes_summing_below_1e_8_exit_quickly(self, tmp_path):

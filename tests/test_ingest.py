@@ -400,7 +400,8 @@ def assert_batched_equals_per_line(lines, fmt, policy, batch, fail_at=None):
 
         # The CLI's composition: the fold takes the unread stream's runs.
         # The traced benchmark's: the stream listed, then the list folded.
-        # And a stream read k records in: the fold counts the rest.
+        # And a stream read k records in: the fold counts the rest, read
+        # through the record path.
         for fold in (aggregate_corpus, lambda records: aggregate_corpus(list(records))):
             records, report = ingest_stream(_source(lines, fail_at), fmt, policy)
             assert_fold_equals(fold, records, want, want_error)
@@ -410,6 +411,21 @@ def assert_batched_equals_per_line(lines, fmt, policy, batch, fail_at=None):
             assert [next(records) for _ in range(k)] == want[:k]
             assert_fold_equals(aggregate_corpus, records, want[k:], want_error)
             assert (report.accepted, report.rejected, report.first_errors) == want_report
+
+
+def test_a_stream_iterated_but_never_advanced_folds_through_columns(monkeypatch):
+    lines = [_J, '{"journal":"b","class":"disputing"}', "garbage", _J]
+    batches = []
+    columns = ingest._columns
+    monkeypatch.setattr(ingest, "_columns", lambda records: batches.append(len(records)) or columns(records))
+    records, report = ingest_stream(lines, Format.JSONL, Policy.SKIP)
+    want = aggregate_corpus(records)  # never iterated: the parser's own runs
+    assert want == {"a": (2, 0, 0), "b": (0, 1, 0)} and batches == []
+    records, report = ingest_stream(lines, Format.JSONL, Policy.SKIP)
+    iter(records)
+    assert aggregate_corpus(records) == want
+    assert batches == [3]  # the three records, built and transposed back
+    assert (report.accepted, report.rejected) == (3, 1)
 
 
 def assert_fold_equals(fold, records, want, want_error):
@@ -597,3 +613,46 @@ def test_read_lines_reads_a_byte_range(tmp_path):
     assert list(read_lines(str(path), 4, 5)) == ["two\n"]
     assert list(read_lines(str(path), 9)) == ["three\n", "four\n"]
     assert list(read_lines(str(path), 4, 0)) == []
+
+
+# --- the line cap -------------------------------------------------------------
+
+_utf8_pieces = st.sampled_from([b"a", b"bc", b"\n", b"\r", b"\r\n", "\u00e9".encode(), "\u20ac".encode(), "\U0001f600".encode()])
+
+
+@given(
+    data=st.lists(_utf8_pieces, max_size=60).map(b"".join),
+    limit=st.integers(4, 12),
+    block=st.integers(1, 4),
+    start=st.integers(0, 8),
+)
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_lines_refuses_a_line_over_the_cap_at_its_offset(tmp_path, data, limit, block, start):
+    """The lines before the first one of more than ``limit`` bytes up to its
+    ``\\n``, as text-mode ``open`` reads them, then an error at its offset."""
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    starts = [0, *(i + 1 for i, byte in enumerate(data) if byte == ord("\n"))]
+    start = starts[start % len(starts)]  # a range starts after a newline
+    offset, bad = start, None
+    for line in io.BytesIO(data[start:]):
+        if len(line) > limit:
+            bad = offset
+            break
+        offset += len(line)
+    with mock.patch.object(ingest, "MAX_LINE_BYTES", limit), mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        got, error = lines_and_error(read_lines(str(path), start))
+    want = list(io.TextIOWrapper(io.BytesIO(data[start:bad]), encoding="utf-8"))
+    assert got == want
+    assert error == (None if bad is None else f"line too long: the line at byte {bad} holds more than {limit} bytes")
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", ""])
+def test_read_lines_takes_a_line_of_exactly_the_cap(tmp_path, ending):
+    path = tmp_path / "f"
+    line = "x" * (ingest.MAX_LINE_BYTES - len(ending))
+    path.write_bytes(f"a\n{line}{ending}".encode())
+    assert lines_and_error(read_lines(str(path))) == (["a\n", line + "\n" * bool(ending)], None)
+    path.write_bytes(f"a\n{line}y{ending}b\n".encode())
+    error = f"line too long: the line at byte 2 holds more than {ingest.MAX_LINE_BYTES} bytes"
+    assert lines_and_error(read_lines(str(path))) == (["a\n"], error)

@@ -293,6 +293,21 @@ def test_invalid_utf8_reported_at_file_offset_in_line_order(tmp_path, capsys):
     assert "line 1: invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("parts", [2, 3, 5])
+@pytest.mark.parametrize("policy", ["strict", "skip"])
+def test_a_line_over_the_cap_that_holds_cuts_is_refused_at_its_start(tmp_path, parts, policy):
+    body = (GOOD + "\n") * 100
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(f'{body}{{"journal":"{"x" * (3 << 20)}","class":"supporting"}}\n{body}'.encode())
+    with split_into(1):
+        want = aggregate(["--policy", policy, src])
+    assert want == (EXIT_DATA, f"citemetric: error: {src}: line too long: the line at byte {len(body)} holds more than 1048576 bytes\n", None)
+    with split_into(parts, min_bytes=64):
+        assert len(ranges.plan_ranges(str(src), parts)) == parts  # each cut after a scan of 1 MiB + 1 byte
+        assert aggregate(["--policy", policy, src]) == want
+    assert _no_children_left()
+
+
 # --- failure paths -------------------------------------------------------
 
 

@@ -139,6 +139,21 @@ class TestGenerateCorpus:
         with pytest.raises(InvalidParamsError, match=f"^cannot draw journal {k} with "):
             next(corpus)
 
+    @pytest.mark.parametrize("k", [1, 17, 39])
+    def test_the_journal_that_passes_the_corpus_bound_ends_it_before_its_records(self, monkeypatch, k):
+        records = list(generate_corpus(SMALL))
+        totals = [c + m for c, _, _, m in (journal_counts(SMALL, i) for i in range(SMALL.journals))]
+        k = next(i for i in range(k, SMALL.journals) if totals[i])
+        # A bound the whole corpus meets changes nothing.
+        monkeypatch.setattr(synth, "MAX_CORPUS_RECORDS", sum(totals))
+        assert list(generate_corpus(SMALL)) == records
+        bound = sum(totals[: k + 1]) - 1
+        monkeypatch.setattr(synth, "MAX_CORPUS_RECORDS", bound)
+        corpus = generate_corpus(SMALL)
+        assert list(islice(corpus, sum(totals[:k]))) == [r for r in records if r.journal < f"journal-{k:06d}"]
+        with pytest.raises(InvalidParamsError, match=f"^cannot draw journal {k}: the corpus would hold {bound + 1} records, more than the {bound} it may hold$"):
+            next(corpus)
+
     def test_citing_id_left_empty(self):
         assert all(r.citing_id == "" for r in islice(generate_corpus(SMALL), 200))
 
