@@ -3,9 +3,11 @@
 Two line-oriented formats are supported: headered CSV
 (``citing_id,journal,class``) and JSONL (one object per line with those keys,
 ``citing_id`` optional). Files must be UTF-8; a BOM on the first line is
-stripped. Because parsing is line-by-line, fields may not contain newlines,
-and no line may hold more than ``MAX_LINE_BYTES`` bytes. The parser hands
-out runs, the columns of many records; :class:`RecordStream` turns them
+stripped. A line ends at ``\n`` and only there; CRs just before it are
+dropped, and any other CR is data. Because parsing is line-by-line, fields
+may not contain a ``\n``, and no line may hold more than ``MAX_LINE_BYTES``
+bytes. The parser hands out runs, one per batch of lines, each the columns
+of the batch's accepted records; :class:`RecordStream` turns them
 into records and :func:`runs_of` turns records back into runs, so the fold
 never sees which it was given. The package's one CSV quoting rule and one
 read-ahead loop live here too.
@@ -20,8 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import chain, count, islice, repeat, starmap
-from operator import itemgetter
+from itertools import chain, compress, count, islice, repeat, starmap
+from operator import itemgetter, not_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CitemetricError, MalformedLineError, UnknownClassError
@@ -66,7 +68,8 @@ def csv_field(text: str) -> str:
     it holds a comma, a double quote, CR or LF. Every CSV the package writes
     quotes this way. For text without a CR these are the bytes of the ``csv``
     module's writer, at a fraction of its per-row cost; that writer quotes a
-    CR only from Python 3.13, and a bare CR could not be read back."""
+    CR only from Python 3.13, and ``csv.reader`` refuses a bare CR in an
+    unquoted field."""
     if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -127,9 +130,11 @@ class IngestReport:
 def read_lines(path: str, start: int = 0, length: int | None = None) -> Iterator[str]:
     """Yield the lines, ends included, of ``length`` bytes of ``path`` from
     ``start`` (to EOF if None): for a whole file, those text-mode
-    ``open(path, encoding="utf-8")`` yields. The bytes are read once, pipes
-    included, in blocks cut after their last ``\\n`` (no character or
-    ``\\r\\n`` pair is split), and no Python frame runs per line.
+    ``open(path, encoding="utf-8", newline="\\n")`` yields. A line ends at
+    ``\\n`` only, untranslated, as the cap and ``ranges.plan_ranges`` count
+    lines; a CR is data. The bytes are read once, pipes included, in blocks
+    cut after their last ``\\n`` (no character is split), and no Python
+    frame runs per line.
 
     Raises:
         MalformedLineError: invalid UTF-8, named at its offset in the file,
@@ -142,6 +147,8 @@ def read_lines(path: str, start: int = 0, length: int | None = None) -> Iterator
 
 
 def _blocks(path: str, start: int, length: int | None) -> Iterator[Iterator[str]]:
+    """The lines of :func:`read_lines`, one iterator per block of whole
+    ``\\n``-terminated lines (the last may lack its ``\\n``)."""
     with open(path, "rb", buffering=0) as fh:
         if start:
             fh.seek(start)
@@ -169,12 +176,12 @@ def _decode(data: bytes, offset: int) -> Iterator[Iterator[str]]:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         good = data[: data.rfind(b"\n", 0, exc.start) + 1]
-        yield io.StringIO(good.decode("utf-8"), newline=None)
+        yield io.StringIO(good.decode("utf-8"), newline="\n")
         first, last = offset + exc.start, offset + exc.end - 1
         one = f"byte 0x{data[exc.start]:02x} in position {first}"
         where = one if first == last else f"bytes in position {first}-{last}"
         raise MalformedLineError(f"invalid UTF-8: 'utf-8' codec can't decode {where}: {exc.reason}") from None
-    yield io.StringIO(text, newline=None)
+    yield io.StringIO(text, newline="\n")
 
 
 def _csv_row(line: str) -> list[str]:
@@ -253,9 +260,9 @@ def _check_header(line: str) -> None:
         raise MalformedLineError(f"line 1: expected CSV header {','.join(CSV_HEADER)!r}, got {line!r}")
 
 
-#: Stands in for a CSV row of the wrong length: its empty label never
-#: resolves, so the row goes to ``ingest_stream``'s ``one_line``, which
-#: words the error.
+#: Stands in for a malformed line, or a CSV row of the wrong length: its
+#: empty label never resolves, so ``ingest_stream`` masks the line out of
+#: its batch's run and hands it to ``reject``, which words the error.
 _NO_ROW = ("", "", "")
 
 
@@ -361,7 +368,7 @@ def format_record(record: CitationRecord, fmt: Format) -> str:
         obj["journal"] = record.journal
         obj["class"] = record.klass.value
         return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
-    if "\n" in record.citing_id or "\r" in record.citing_id:
+    if "\n" in record.citing_id:
         raise ValueError("citing_id with newlines cannot be serialized to CSV; use JSONL")
     return ",".join(map(csv_field, (record.citing_id, record.journal, record.klass.value)))
 
@@ -373,7 +380,7 @@ Run = tuple[Sequence[str], Sequence[JournalKey], Sequence[CitationClass]]
 
 class RecordStream:
     """The lazy record stream of :func:`ingest_stream`: the parser's runs,
-    turned into records only as the stream is read.
+    one per batch of lines, turned into records only as the stream is read.
 
     Iterating it, and ``next()`` on it, read one C-level chain over the
     runs' records, built on first iteration. Until then :func:`runs_of`
@@ -443,13 +450,15 @@ def ingest_stream(
     suspect. The returned report is shared with the stream and is complete
     only after the stream has been fully consumed.
 
-    Lines are read ahead from ``source`` in batches of a few hundred. The
-    parser hands out runs: the ``(citing_ids, keys, classes)`` columns of a
-    batch's accepted lines, built without a Python step per line, split
-    only around its bad lines. Every other line, and each line of a batch
-    the column parser refuses, is parsed on its own by ``one_line``, the only
-    code that words an error, and is a run of one if accepted. The
-    :class:`RecordStream` builds records from the runs once it is iterated;
+    Each item of ``source`` is one line; the ``\\n`` and any CRs at its end
+    are dropped. Lines are read ahead from ``source`` in batches of a few
+    hundred. A batch the column parser refuses is split one line at a time
+    instead, a malformed line standing in as ``_NO_ROW``. Each batch then
+    hands out one run: the ``(citing_ids, keys, classes)`` columns of its
+    accepted lines, a ``compress`` mask dropping the others (under STRICT,
+    every line from the first bad one on). Each bad line is parsed again by
+    :func:`parse_record`, only to word its error. The :class:`RecordStream`
+    builds records from the runs once it is iterated;
     until then ``aggregate_corpus`` counts the runs themselves. Errors still
     surface in line order: the records of the lines before a bad line, or
     before an exception raised by ``source`` itself, come out first. A
@@ -464,30 +473,29 @@ def ingest_stream(
     keys: dict[str, str] = {}
     columns = _COLUMNS.get(fmt)
 
-    def one_line(line: str, lineno: int) -> Run | None:
-        """The one-line run of ``line``, line ``lineno``, or None if it is
-        skipped; the only code that words an error."""
+    def row(line: str) -> tuple[str, str, str]:
         try:
-            citing_id, journal, label = _fields(line, fmt)
-            klass = classes.get(label)
-            if klass is None:
-                klass = classes[label] = _class_of(label)
-            key = keys.get(journal)
-            if key is None:
-                key = keys[journal] = _key_of(journal)
+            return _fields(line, fmt)
+        except MalformedLineError:
+            return _NO_ROW
+
+    def reject(line: str, lineno: int) -> None:
+        """Count ``line``, line ``lineno``, which its batch's lookups refused,
+        wording its error through parse_record, which fails on the same
+        fields; raise it under STRICT."""
+        try:
+            parse_record(line, fmt)
         except CitemetricError as exc:
             report.rejected += 1
             if len(report.first_errors) < MAX_REPORTED_ERRORS:
                 report.first_errors.append((lineno, f"{type(exc).__name__}: {exc}"))
             if policy is Policy.STRICT:
                 raise type(exc)(f"line {lineno}: {exc}") from None
-            return None
-        report.accepted += 1
-        return (citing_id,), (key,), (klass,)
 
     def runs() -> Iterator[Run]:
-        """The runs of accepted rows, each a batch's columns or a slice of
-        them, and the ``one_line`` run of every other line, in line order."""
+        """One run per batch, of its accepted rows, then each refused line
+        of the batch to ``reject``; under STRICT the run stops before the
+        first refused line."""
         lineno = 0
         for batch in read_ahead(source, _BATCH_LINES):
             lines = list(map(str.rstrip, batch, repeat("\r\n")))
@@ -496,24 +504,23 @@ def ingest_stream(
                 if fmt is Format.CSV:
                     _check_header(lines.pop(0))
                     lineno = 1
-            cols = columns(lines) if columns and lines else None
-            if cols is None:
-                yield from filter(None, map(one_line, lines, count(lineno + 1)))
-            else:
-                ids, journals, labels = cols
-                klasses = _lookup(classes, labels, _class_of)
-                found = _lookup(keys, journals, _key_of)
-                bad: list[int] = []  # a clean batch skips the per-line search
-                if None in found or None in klasses:
-                    bad = [i for i, (key, klass) in enumerate(zip(found, klasses)) if key is None or klass is None]
-                start = 0
-                for end in (*bad, len(lines)):
-                    if start < end:
-                        report.accepted += end - start
-                        yield ids[start:end], found[start:end], klasses[start:end]
-                    if end < len(lines) and (run := one_line(lines[end], lineno + end + 1)):
-                        yield run
-                    start = end + 1
+            if not lines:
+                continue
+            # A batch the column parser refuses is split one line at a time.
+            ids, journals, labels = columns and columns(lines) or zip(*map(row, lines))
+            klasses = _lookup(classes, labels, _class_of)
+            found = _lookup(keys, journals, _key_of)
+            kept = ()  # a clean batch builds no mask
+            if None in found or None in klasses:
+                kept = list(map(all, zip(found, klasses)))  # keys are non-empty, classes truthy
+                if policy is Policy.STRICT:
+                    del kept[kept.index(False) + 1 :]
+                ids, found, klasses = (list(compress(column, kept)) for column in (ids, found, klasses))
+            if ids:
+                report.accepted += len(ids)
+                yield ids, found, klasses
+            for i in compress(count(), map(not_, kept)):
+                reject(lines[i], lineno + i + 1)
             lineno += len(lines)
         if fmt is Format.CSV and lineno == 0:
             raise MalformedLineError("line 1: missing CSV header")

@@ -2,9 +2,9 @@
 
 A file is cut into at most one range per usable CPU, each at least
 ``MIN_RANGE_BYTES`` long, and each range is read through
-:func:`citemetric.ingest.read_lines`. Cuts fall right after a ``\\n``, so the
-lines read per range, concatenated, are the lines of the whole file (a
-``\\r\\n`` pair is never split and a bare ``\\r`` stays inside its range). A cut
+:func:`citemetric.ingest.read_lines`. Cuts fall right after a ``\\n``, the
+only line end, so the lines read per range, concatenated, are the lines of
+the whole file (a CR is data, and a ``\\r\\n`` pair is never split). A cut
 never lands before a line that starts with a byte order mark, which only a
 file's first line may carry. A cut's scan for a ``\\n`` stops after
 ``MAX_LINE_BYTES + 1`` bytes, so only a line that ``read_lines`` refuses can

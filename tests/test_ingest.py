@@ -23,6 +23,7 @@ from citemetric.ingest import (
     parse_record,
     read_ahead,
     read_lines,
+    runs_of,
 )
 from citemetric.model import CitationClass, CitationRecord
 
@@ -132,6 +133,13 @@ class TestFormatRecord:
         # csv.writer leaves a bare CR unquoted before Python 3.13.
         assert csv_field("a\rb") == '"a\rb"'
         assert format_record(CitationRecord("w", "a\rb", SUP), Format.CSV) == 'w,"a\rb",supporting'
+
+    def test_csv_citing_id_with_a_cr_reads_back(self, tmp_path):
+        want = [CitationRecord(i, "nature", SUP) for i in ("a\rb", "\r", "b\r", "\r\rc")]
+        path = tmp_path / "c.csv"
+        path.write_text("".join(f"{line}\n" for line in [_HEADER, *(format_record(r, Format.CSV) for r in want)]))
+        records, report = ingest_stream(read_lines(str(path)), Format.CSV)
+        assert (list(records), report.rejected) == (want, 0)
 
     def test_csv_rejects_newline_in_citing_id(self):
         with pytest.raises(ValueError):
@@ -428,6 +436,31 @@ def test_a_stream_iterated_but_never_advanced_folds_through_columns(monkeypatch)
     assert (report.accepted, report.rejected) == (3, 1)
 
 
+@pytest.mark.parametrize("fmt", list(Format))
+def test_an_unread_stream_hands_out_one_run_per_batch(fmt):
+    """Bad lines in every batch, some of which the column parser refuses,
+    still give one run a batch, each of the batch's accepted lines."""
+    if fmt is Format.JSONL:
+        bad = ["garbage"]  # refuses every batch
+        good = ['{"citing_id":"w%d","journal":"J %d","class":"supporting"}' % (i, i % 97) for i in range(5000)]
+    else:
+        bad = ["a,b", "w,Nature,contrasting", "w,   ,supporting", 'w,"Nature,supporting', "w,Na\rture,mentioning"]
+        good = [f"w{i},J {i % 97},disputing" for i in range(5000)]
+    lines = []
+    for i, line in enumerate(good):
+        lines.append(line)
+        if i % 100 == 99:  # a bad line after every 100th
+            lines.append(bad[i // 100 % len(bad)])
+    source = [_HEADER, *lines] if fmt is Format.CSV else lines
+    records, report = ingest_stream(source, fmt, Policy.SKIP)
+    runs = list(runs_of(records))
+    assert len(runs) == -(-len(source) // ingest._BATCH_LINES)
+    want, want_report, _ = per_line_reference(source, fmt, Policy.SKIP)
+    assert [CitationRecord(*row) for run in runs for row in zip(*run)] == want
+    assert (report.accepted, report.rejected, report.first_errors) == want_report
+    assert report.rejected == 50
+
+
 def assert_fold_equals(fold, records, want, want_error):
     try:
         table = fold(records)
@@ -458,7 +491,10 @@ _PINNED = {
         [_J, '{"journal":"a","class":"supporting","journal":"b"}', _J],
         [_J, '{"journal":"a","class":"supporting"} ', '{"journal":"a","class":"supporting"}x', _J],
         [_J, '{"journal":"a","class":"supporting"}\r\n', "", "\n", "[]", "5"],
-        [BOM + _J, _J, '{"journal":"a"}', '{"class":"supporting"}'],
+        # A CR is data: whitespace between tokens, a control character in a
+        # string, and no line end between two objects.
+        [BOM + _J, _J, '{"journal":"a"}', '{"class":"supporting"}',
+         '{"journal":\r"a",\r"class":"supporting"}\r', '{"journal":"a\rb","class":"supporting"}', _J + "\r" + _J, _J],
     ],
     Format.CSV: [
         [_HEADER, 'w1,"Nature,supporting', 'w2,Cell",mentioning', "w3,Cell,mentioning"],
@@ -466,6 +502,7 @@ _PINNED = {
         [BOM + _HEADER, "w1,Nature,supporting", BOM + "w2,Nature,supporting", ",,", "a,b,c,d"],
         [_HEADER, "w1,Nature,supporting", "w2,   ,supporting", "w3,Nature,contrasting", "", "w4,Cell,Disputing"],
         [_HEADER, "w1,Nature,supporting", "w2," + "x" * 131_073 + ",supporting", "w3,Cell,mentioning"],
+        [_HEADER, 'w1,"Na\rture",supporting', "w2,Na\rture,supporting\r", "w3,Cell,mentioning\rw4,Cell,mentioning"],
     ],
 }
 
@@ -550,7 +587,7 @@ def _dirty_streams(draw, fmt):
     pool = _dirty_lines(fmt) + [line for case in _PINNED[fmt] for line in case[1:]]
     pool += [dirty_line(kind, i, fmt.value) for i, kind in enumerate(LINE_KINDS * 6)]
     lines = draw(st.lists(st.sampled_from(pool), max_size=40))
-    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", ""]), min_size=len(lines), max_size=len(lines)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r", ""]), min_size=len(lines), max_size=len(lines)))
     lines = [line + end for line, end in zip(lines, ends)]
     if fmt is Format.CSV:
         lines.insert(0, _HEADER + "\n")
@@ -587,7 +624,7 @@ def test_read_lines_matches_text_mode_open(tmp_path, data, block):
     with mock.patch.object(ingest, "_BLOCK_BYTES", block):
         got, error = lines_and_error(read_lines(str(path)))
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             want = list(fh)
     except UnicodeDecodeError:
         offset = 0
@@ -599,7 +636,7 @@ def test_read_lines_matches_text_mode_open(tmp_path, data, block):
                 break
             offset += len(line)
         path.write_bytes(data[:offset])
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             assert got == list(fh)
         assert error is not None and error.startswith("invalid UTF-8: 'utf-8' codec can't decode ")
         assert int(re.search(r" in position (\d+)", error)[1]) == bad
@@ -610,8 +647,8 @@ def test_read_lines_matches_text_mode_open(tmp_path, data, block):
 def test_read_lines_reads_a_byte_range(tmp_path):
     path = tmp_path / "f"
     path.write_bytes(b"one\ntwo\r\nthree\rfour\n")
-    assert list(read_lines(str(path), 4, 5)) == ["two\n"]
-    assert list(read_lines(str(path), 9)) == ["three\n", "four\n"]
+    assert list(read_lines(str(path), 4, 5)) == ["two\r\n"]
+    assert list(read_lines(str(path), 9)) == ["three\rfour\n"]
     assert list(read_lines(str(path), 4, 0)) == []
 
 
@@ -642,7 +679,7 @@ def test_read_lines_refuses_a_line_over_the_cap_at_its_offset(tmp_path, data, li
         offset += len(line)
     with mock.patch.object(ingest, "MAX_LINE_BYTES", limit), mock.patch.object(ingest, "_BLOCK_BYTES", block):
         got, error = lines_and_error(read_lines(str(path), start))
-    want = list(io.TextIOWrapper(io.BytesIO(data[start:bad]), encoding="utf-8"))
+    want = list(io.TextIOWrapper(io.BytesIO(data[start:bad]), encoding="utf-8", newline="\n"))
     assert got == want
     assert error == (None if bad is None else f"line too long: the line at byte {bad} holds more than {limit} bytes")
 
@@ -652,7 +689,7 @@ def test_read_lines_takes_a_line_of_exactly_the_cap(tmp_path, ending):
     path = tmp_path / "f"
     line = "x" * (ingest.MAX_LINE_BYTES - len(ending))
     path.write_bytes(f"a\n{line}{ending}".encode())
-    assert lines_and_error(read_lines(str(path))) == (["a\n", line + "\n" * bool(ending)], None)
+    assert lines_and_error(read_lines(str(path))) == (["a\n", line + ending], None)
     path.write_bytes(f"a\n{line}y{ending}b\n".encode())
     error = f"line too long: the line at byte 2 holds more than {ingest.MAX_LINE_BYTES} bytes"
     assert lines_and_error(read_lines(str(path))) == (["a\n"], error)

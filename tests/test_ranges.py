@@ -215,6 +215,32 @@ def test_split_run_reports_global_line_numbers(tmp_path, capsys):
     assert f"{src}: 199 accepted, 1 rejected\n  {src}:151: MalformedLineError" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_bad_line_is_numbered_by_the_newlines_before_it(tmp_path, fmt):
+    """Only ``\\n`` ends a line: a ``\\r\\n`` ending counts once, and a bare
+    ``\\r`` joins two lines into one bad line, in one range or several."""
+    good = dirty_line("good", 0, fmt)
+    pieces = ["garbage" if i % 31 == 5 else good for i in range(240)]
+    ends = ["\r" if i % 37 == 3 else "\r\n" if i % 2 else "\n" for i in range(240)]
+    data = "".join(map(str.__add__, pieces, ends))
+    if fmt == "csv":
+        data = "citing_id,journal,class\n" + data
+    src = tmp_path / f"in.{fmt}"
+    src.write_bytes(data.encode())
+    lines = data.split("\n")[:-1]
+    bad = [n for n, line in enumerate(lines, 1) if line.rstrip("\r") not in (good, "citing_id,journal,class")]
+    assert 10 < len(bad) <= 20 and bad[-1] > len(lines) * 3 // 4  # all listed, some in the last range
+    for parts in (1, 3):
+        with split_into(parts, min_bytes=64):
+            assert len(ranges.plan_ranges(str(src), parts)) == parts
+            code, err, _ = aggregate(["-f", fmt, "--policy", "skip", src])
+            assert code == EXIT_OK
+            assert [int(line.split(":")[1]) for line in err.splitlines() if line.startswith("  ")] == bad
+            assert f"{len(lines) - (fmt == 'csv') - len(bad)} accepted, {len(bad)} rejected" in err
+            code, err, _ = aggregate(["-f", fmt, src])
+            assert code == EXIT_DATA and err.startswith(f"citemetric: error: {src}: line {bad[0]}: ")
+
+
 def test_split_run_reports_the_first_errors_of_the_file(tmp_path):
     src = tmp_path / "in.jsonl"
     src.write_text("".join(("garbage" if i % 3 == 0 else GOOD) + "\n" for i in range(300)))
