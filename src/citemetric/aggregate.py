@@ -20,7 +20,7 @@ from operator import add, is_, sub
 from typing import IO, Iterable, Iterator
 
 from .errors import ArithmeticOverflowError, EmptyKeyError, MalformedLineError
-from .ingest import csv_field, read_ahead, runs_of
+from .ingest import csv_error, csv_field, read_ahead, runs_of
 from .model import (
     U64_MAX,
     CitationClass,
@@ -137,7 +137,7 @@ def read_tally_csv(source: Iterable[str]) -> TallyTable:
     try:
         return _read_tally_rows(reader)
     except csv.Error as exc:
-        raise MalformedLineError(f"line {reader.line_num}: invalid CSV: {exc}") from None
+        raise MalformedLineError(f"line {reader.line_num}: {csv_error(exc)}") from None
 
 
 def _read_tally_rows(reader: Iterator[list[str]]) -> TallyTable:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import chain, compress, count, islice, repeat, starmap
-from operator import itemgetter, not_
+from operator import itemgetter, ne, not_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CitemetricError, MalformedLineError, UnknownClassError
@@ -184,11 +184,19 @@ def _decode(data: bytes, offset: int) -> Iterator[Iterator[str]]:
     yield io.StringIO(text, newline="\n")
 
 
+def csv_error(exc: csv.Error) -> str:
+    """The words of a ``csv`` error, without the advice some of its messages
+    end in (to open the file in universal-newline mode, or with
+    ``newline=''``), which a program that opens every input itself cannot
+    act on."""
+    return f"invalid CSV: {str(exc).partition(' - ')[0]}"
+
+
 def _csv_row(line: str) -> list[str]:
     try:
         return next(csv.reader((line,)), [])
     except csv.Error as exc:
-        raise MalformedLineError(f"invalid CSV: {exc}") from None
+        raise MalformedLineError(csv_error(exc)) from None
 
 
 def _fields(line: str, fmt: Format) -> tuple[str, str, str]:
@@ -240,9 +248,13 @@ def _key_of(journal: str) -> str:
     Raises:
         EmptyKeyError: nothing remains after normalization.
         MalformedLineError: the key holds a lone surrogate (a JSON ``\\ud800``
-            escape), which the tally CSV could not be written with.
+            escape), which the tally CSV could not be written with; or
+            U+0000, which ``csv.reader`` refuses on Python 3.10, so the
+            tally could not be read back there.
     """
     key = normalize_journal_key(journal)
+    if "\0" in key:
+        raise MalformedLineError("journal holds U+0000, which a tally CSV cannot carry")
     if not key.isascii():
         try:
             key.encode("utf-8")
@@ -267,17 +279,18 @@ _NO_ROW = ("", "", "")
 
 
 def _csv_columns(lines: list[str]) -> tuple[tuple[str, ...], ...] | None:
-    """The ``(citing_id, journal, class)`` columns of the CSV ``lines``, with
-    ``_NO_ROW`` for a row of the wrong length; None when csv fails on a line
-    or a quoted field runs on into the next line."""
+    """The ``(citing_id, journal, class)`` columns of the CSV ``lines``; None
+    when csv fails on a line or a quoted field runs on into the next line.
+    A row of the wrong length is replaced in place by ``_NO_ROW``, so the
+    batch is never rebuilt and only such a row costs a Python step."""
     try:
         rows = list(csv.reader(lines))
     except csv.Error:
         return None
     if len(rows) != len(lines):
         return None
-    if list(map(len, rows)).count(len(CSV_HEADER)) != len(rows):
-        rows = [row if len(row) == len(CSV_HEADER) else _NO_ROW for row in rows]
+    for i in compress(count(), map(ne, map(len, rows), repeat(len(CSV_HEADER)))):
+        rows[i] = _NO_ROW
     return tuple(zip(*rows))
 
 

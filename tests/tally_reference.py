@@ -47,4 +47,5 @@ def read_tally_csv(source: Iterable[str]) -> TallyTable:
             table[key] = tally
         return table
     except csv.Error as exc:
-        raise MalformedLineError(f"line {reader.line_num}: invalid CSV: {exc}") from None
+        # csv's own advice, after " - ", is dropped from the message.
+        raise MalformedLineError(f"line {reader.line_num}: invalid CSV: {str(exc).partition(' - ')[0]}") from None

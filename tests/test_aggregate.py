@@ -179,6 +179,8 @@ class TestAggregateCorpus:
             (("i2", "k"), ValueError, "not enough values to unpack (expected 3, got 2)"),
             (("i2", "k", DIS, "extra"), ValueError, "too many values to unpack (expected 3)"),
             (("i2", ["k"], DIS), TypeError, "unhashable type: 'list'"),
+            (5, TypeError, "cannot unpack non-iterable int object"),
+            (("i2", "k", []), TypeError, "unhashable type: 'list'"),
         ],
     )
     @pytest.mark.parametrize("before", [1, 600])

@@ -206,14 +206,24 @@ class TestAggregate:
         assert run(["aggregate", "-f", "csv", str(src), "-o", str(out)]) == EXIT_DATA
         assert "line 3" in capsys.readouterr().err
 
+    def test_a_bare_cr_in_a_csv_field_is_worded_without_csv_advice(self, tmp_path, capsys):
+        src = write_lines(tmp_path / "in.csv", ["citing_id,journal,class", "w1,alpha,supporting", "w2,Na\rture,supporting"])
+        out = tmp_path / "t.csv"
+        reason = "invalid CSV: new-line character seen in unquoted field"
+        assert run(["aggregate", "-f", "csv", str(src), "-o", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"citemetric: error: {src}: line 3: {reason}\n"
+        assert run(["aggregate", "-f", "csv", "--policy", "skip", str(src), "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == f"{src}: 1 accepted, 1 rejected\n  {src}:3: MalformedLineError: {reason}\n"
+
     @pytest.mark.parametrize(
         "bad, message",
         [
             (r'{"journal":"\ud800","class":"supporting"}', "journal holds a lone surrogate, which UTF-8 cannot encode"),
+            (r'{"journal":"na\u0000ture","class":"supporting"}', "journal holds U+0000, which a tally CSV cannot carry"),
             ("[" * 100_000, "invalid JSON: "),
             ('{"journal":"a","class":"supporting","x":' + "[" * 100_000 + "]" * 100_000 + "}", "invalid JSON: "),
         ],
-        ids=["lone-surrogate", "deep-array", "deep-value"],
+        ids=["lone-surrogate", "nul", "deep-array", "deep-value"],
     )
     def test_lone_surrogate_or_deep_nesting_is_a_rejected_line(self, tmp_path, capsys, bad, message):
         src = write_lines(tmp_path / "in.jsonl", [bad, GOOD_LINES[0]])
@@ -510,6 +520,13 @@ class TestReport:
         tally = make_tally(tmp_path / "t.csv", [("alpha", 1, 2, 3), (HUGE, 1, 2, 3)])
         assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
         assert "line 3: invalid CSV: field larger than field limit" in capsys.readouterr().err
+
+    def test_a_bare_cr_in_a_tally_row_is_worded_without_csv_advice(self, tmp_path, capsys):
+        tally = make_tally(tmp_path / "t.csv", [("alpha", 1, 2, 3), ("na\rture", 1, 2, 3)])
+        assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"citemetric: error: {tally}: line 3: invalid CSV: new-line character seen in unquoted field\n"
+        )
 
     def test_a_tally_line_over_the_cap_is_a_data_error(self, tmp_path, capsys):
         tally = make_tally(tmp_path / "t.csv", [("alpha", 1, 2, 3), ("x" * MIB, 1, 2, 3)])

@@ -1,5 +1,6 @@
 import io
 import re
+import sys
 from functools import reduce
 from unittest import mock
 
@@ -99,6 +100,13 @@ class TestParseRecord:
     def test_empty_journal(self):
         with pytest.raises(EmptyKeyError):
             parse_record("w,   ,supporting", Format.CSV)
+
+    def test_a_format_given_as_a_string_is_unsupported(self):
+        with pytest.raises(ValueError, match="^unsupported format: 'csv'$"):
+            parse_record("x", "csv")
+        records, _ = ingest_stream(["x"], "jsonl")
+        with pytest.raises(ValueError, match="^unsupported format: 'jsonl'$"):
+            list(records)
 
     def test_jsonl_escaped_surrogate_pair_is_one_character(self):
         # Only a lone surrogate is refused: a pair decodes to one character.
@@ -459,6 +467,46 @@ def test_an_unread_stream_hands_out_one_run_per_batch(fmt):
     assert [CitationRecord(*row) for run in runs for row in zip(*run)] == want
     assert (report.accepted, report.rejected, report.first_errors) == want_report
     assert report.rejected == 50
+
+
+@pytest.mark.parametrize(
+    "fmt, bad",
+    [
+        (Format.CSV, "w,Nature"),
+        (Format.CSV, None),
+        (Format.JSONL, None),
+        (Format.JSONL, '{"journal":"Nature","class":"contrasting"}'),
+        (None, None),
+    ],
+    ids=["csv-short-row", "csv", "jsonl", "jsonl-unknown-class", "records"],
+)
+def test_a_fold_runs_no_python_step_per_line(fmt, bad):
+    """Folding 40 batches of one journal's lines, each with at most one bad
+    line, makes fewer than 100 Python and C calls a batch: only a line its
+    batch rejects takes a Python step. ``fmt`` None folds a list of records."""
+    n = 40 * ingest._BATCH_LINES
+    if fmt is None:
+        source = [CitationRecord(f"w{i}", "nature", SUP) for i in range(n)]
+    else:
+        row = "w%d,Nature,supporting" if fmt is Format.CSV else '{"citing_id":"w%d","journal":"Nature","class":"supporting"}'
+        source = [bad if bad and i % ingest._BATCH_LINES == 100 else row % i for i in range(n)]
+        if fmt is Format.CSV:
+            source[0] = _HEADER
+    records = source if fmt is None else ingest_stream(source, fmt, Policy.SKIP)[0]
+    events = 0
+
+    def profile(frame, event, arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        table = aggregate_corpus(records)
+    finally:
+        sys.setprofile(old)
+    assert table == {"nature": (n - (fmt is Format.CSV) - 40 * bool(bad), 0, 0)}
+    assert events < 100 * 40
 
 
 def assert_fold_equals(fold, records, want, want_error):
