@@ -20,7 +20,7 @@ from operator import add, is_, sub
 from typing import IO, Iterable, Iterator
 
 from .errors import ArithmeticOverflowError, EmptyKeyError, MalformedLineError
-from .ingest import csv_error, csv_field, read_ahead, runs_of
+from .ingest import csv_error, csv_field, csv_lines, read_ahead, runs_of
 from .model import (
     U64_MAX,
     CitationClass,
@@ -131,9 +131,11 @@ def read_tally_csv(source: Iterable[str]) -> TallyTable:
 
     Counts must be ASCII decimal digits; any other field is an invalid count.
 
-    A BOM before the header is dropped, as in corpus files.
+    A BOM before the header is dropped, as in corpus files. A line that
+    holds U+0000 is refused, ``line N: invalid CSV: line contains NUL``, on
+    every Python.
     """
-    reader = csv.reader(source)
+    reader = csv.reader(csv_lines(source))
     try:
         return _read_tally_rows(reader)
     except csv.Error as exc:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import os
 import signal
 import stat
@@ -245,20 +246,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     config = MetricsConfig(args.min_citations, args.min_classified)
     metrics = build_metrics_table(table, config)
     del table  # the metrics hold every tally; freeing the dict lowers the peak
-    supporting, disputing, eligible_si = [], [], []
-    for _, (s, d, _), index, eligible in metrics:
-        supporting.append(s)
-        disputing.append(d)
-        if eligible:
-            eligible_si.append(index)
     summaries = {
-        "supporting": summarize(supporting, "supporting"),
-        "disputing": summarize(disputing, "disputing"),
-        "scite_index": summarize(eligible_si, "scite_index"),
+        "supporting": summarize(metrics.supporting, "supporting"),
+        "disputing": summarize(metrics.disputing, "disputing"),
+        "scite_index": summarize(metrics.scite_index, "scite_index"),
     }
-    del supporting, disputing  # as for table: only the summaries are needed
     correlations = correlation_report(metrics)
-    si_histogram = histogram(eligible_si, 0.0, 1.0, SI_HISTOGRAM_BINS)
+    si_histogram = histogram(metrics.scite_index, 0.0, 1.0, SI_HISTOGRAM_BINS)
     points = scatter_points(metrics)
 
     outdir = Path(args.outdir)
@@ -351,5 +345,18 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_INTERRUPTED
 
 
-if __name__ == "__main__":
+def main() -> NoReturn:
+    """The program entry, of ``python -m citemetric.cli`` and of the
+    ``citemetric`` script: exit with the code of :func:`run`.
+
+    The objects made by the imports live as long as the process, so they
+    are frozen out of the cyclic garbage collector first, which then never
+    walks them. Only the entry freezes: a caller of :func:`run` in its own
+    process keeps its collector as it was.
+    """
+    gc.freeze()
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -192,7 +192,37 @@ def csv_error(exc: csv.Error) -> str:
     return f"invalid CSV: {str(exc).partition(' - ')[0]}"
 
 
+#: The error of a CSV line that holds U+0000: the words of Python 3.10's
+#: ``csv.reader``, which refuses such a line where later readers accept it.
+#: The package refuses it on every Python.
+_NUL_ERROR = "invalid CSV: line contains NUL"
+
+
+def csv_lines(source: Iterable[str]) -> Iterator[str]:
+    """The lines of ``source``, for a ``csv.reader``, read ahead and checked
+    ``_BATCH_LINES`` at a time by one C-level test.
+
+    Raises:
+        MalformedLineError: ``line N: invalid CSV: line contains NUL`` for
+            the first line N that holds U+0000, after the lines before it.
+    """
+    return chain.from_iterable(_nul_free(source))
+
+
+def _nul_free(source: Iterable[str]) -> Iterator[list[str]]:
+    lineno = 0
+    for lines in read_ahead(source, _BATCH_LINES):
+        if "\0" in "".join(lines):
+            nul = next(i for i, line in enumerate(lines) if "\0" in line)
+            yield lines[:nul]
+            raise MalformedLineError(f"line {lineno + nul + 1}: {_NUL_ERROR}")
+        yield lines
+        lineno += len(lines)
+
+
 def _csv_row(line: str) -> list[str]:
+    if "\0" in line:
+        raise MalformedLineError(_NUL_ERROR)
     try:
         return next(csv.reader((line,)), [])
     except csv.Error as exc:
@@ -249,8 +279,7 @@ def _key_of(journal: str) -> str:
         EmptyKeyError: nothing remains after normalization.
         MalformedLineError: the key holds a lone surrogate (a JSON ``\\ud800``
             escape), which the tally CSV could not be written with; or
-            U+0000, which ``csv.reader`` refuses on Python 3.10, so the
-            tally could not be read back there.
+            U+0000, whose tally line the tally reader refuses.
     """
     key = normalize_journal_key(journal)
     if "\0" in key:
@@ -282,7 +311,10 @@ def _csv_columns(lines: list[str]) -> tuple[tuple[str, ...], ...] | None:
     """The ``(citing_id, journal, class)`` columns of the CSV ``lines``; None
     when csv fails on a line or a quoted field runs on into the next line.
     A row of the wrong length is replaced in place by ``_NO_ROW``, so the
-    batch is never rebuilt and only such a row costs a Python step."""
+    batch is never rebuilt and only such a row costs a Python step. A batch
+    with a line that holds U+0000 is refused, for :func:`_csv_row` to word."""
+    if "\0" in "".join(lines):
+        return None
     try:
         rows = list(csv.reader(lines))
     except csv.Error:

@@ -13,7 +13,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import asdict
-from itertools import repeat
+from itertools import compress, repeat
 from operator import mul, sub
 from typing import IO, Iterator, Sequence
 
@@ -25,6 +25,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .ingest import csv_field
+from .metrics import Column, columns_of
 from .model import CorrelationReport, JournalKey, JournalMetrics, StatsSummary
 
 HISTOGRAM_HEADER = ("bin_lower", "bin_upper", "count")
@@ -62,7 +63,7 @@ def sample_sd(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise InsufficientDataError(f"sample sd needs at least 2 values, got {n}")
-    _, ss = _centre(xs)
+    _, ss = _centre_of(xs)
     return math.sqrt(ss / (n - 1))
 
 
@@ -76,7 +77,7 @@ def skewness(xs: Sequence[float]) -> float:
     n = len(xs)
     if n < 3:
         raise InsufficientDataError(f"skewness needs at least 3 values, got {n}")
-    skew = _skew(xs, *_centre(xs))
+    skew = _skew(xs, *_centre_of(xs))
     if skew is None:
         raise ZeroVarianceError("skewness undefined on a constant sequence")
     return skew
@@ -92,6 +93,19 @@ def _centre(xs: Sequence[float]) -> tuple[float, float]:
         # nonzero deviations.
         return m, 0.0
     return m, math.fsum(map(pow, map(sub, xs, repeat(m)), repeat(2)))
+
+
+def _centre_of(xs: Sequence[float]) -> tuple[float, float]:
+    """:func:`_centre` of ``xs``; for a :class:`.metrics.Column`, computed
+    once and kept on it, so ``report``'s columns are each centred once
+    though ``summarize`` and ``correlation_report`` both read them."""
+    if type(xs) is not Column:
+        return _centre(xs)
+    try:
+        return xs.centre
+    except AttributeError:
+        xs.centre = _centre(xs)
+        return xs.centre
 
 
 def _scaled_deviations(xs: Sequence[float], m: float) -> Iterator[float]:
@@ -126,15 +140,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise LengthMismatchError(f"length mismatch: {n} vs {len(ys)}")
     if n < 2:
         raise InsufficientDataError(f"correlation needs at least 2 pairs, got {n}")
-    return _pearson(xs, _centre(xs), ys, _centre(ys))
-
-
-def _pearson(
-    xs: Sequence[float], centre_x: tuple[float, float], ys: Sequence[float], centre_y: tuple[float, float]
-) -> float:
-    """:func:`pearson` of two columns of at least 2 values each, given their
-    :func:`_centre`, so a column shared by two correlations is centred once."""
-    (mx, sxx), (my, syy) = centre_x, centre_y
+    (mx, sxx), (my, syy) = _centre_of(xs), _centre_of(ys)
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVarianceError("correlation undefined on a constant sequence")
     if sxx * syy < _MIN_NORMAL:
@@ -157,7 +163,7 @@ def summarize(values: Sequence[float], label: str = "values") -> StatsSummary:
     n = len(values)
     if n < 2:
         raise InsufficientDataError(f"{label}: summary needs at least 2 values, got {n}")
-    m, ss = _centre(values)
+    m, ss = _centre_of(values)
     skew = _skew(values, m, ss) if n >= 3 else None
     lo = float(min(values))
     hi = float(max(values))
@@ -170,35 +176,18 @@ def summarize(values: Sequence[float], label: str = "values") -> StatsSummary:
 def correlation_report(metrics: Sequence[JournalMetrics]) -> CorrelationReport:
     """Correlate supporting/disputing (all journals) and scite index
     (eligible journals only) against total citations."""
-    supporting, disputing, totals, si, eligible_totals = [], [], [], [], []
-    for _, (s, d, n), index, eligible in metrics:
-        total = s + d + n
-        supporting.append(s)
-        disputing.append(d)
-        totals.append(total)
-        if eligible:
-            si.append(index)
-            eligible_totals.append(total)
-    # Both all-journal coefficients share the totals' centre; with fewer
-    # than 2 journals, pearson words the error.
-    centre = _centre(totals) if len(totals) >= 2 else None
+    table = columns_of(metrics)
     return CorrelationReport(
-        _corr(supporting, totals, "supporting vs total", centre),
-        _corr(disputing, totals, "disputing vs total", centre),
-        _corr(si, eligible_totals, "scite index vs total"),
+        _corr(table.supporting, table.totals, "supporting vs total"),
+        _corr(table.disputing, table.totals, "disputing vs total"),
+        _corr(table.scite_index, table.eligible_totals, "scite index vs total"),
     )
 
 
-def _corr(
-    xs: Sequence[float], ys: Sequence[float], name: str, centre_y: tuple[float, float] | None = None
-) -> float:
-    """pearson(xs, ys), its errors named ``name``; ``centre_y``, when given,
-    is ys's :func:`_centre`, and both columns hold the same number (>= 2) of
-    values."""
+def _corr(xs: Sequence[float], ys: Sequence[float], name: str) -> float:
+    """pearson(xs, ys), its errors named ``name``."""
     try:
-        if centre_y is None:
-            return pearson(xs, ys)
-        return _pearson(xs, _centre(xs), ys, centre_y)
+        return pearson(xs, ys)
     except (InsufficientDataError, ZeroVarianceError) as exc:
         raise type(exc)(f"{name}: {exc}") from None
 
@@ -241,11 +230,9 @@ def scatter_points(
 
     Eligibility guarantees total >= 1, so the log is always defined.
     """
-    return [
-        (m.journal, math.log10(m.tally.total()), m.scite_index)
-        for m in metrics
-        if m.eligible
-    ]
+    table = columns_of(metrics)
+    journals = compress(table.journals, table.eligible)
+    return list(zip(journals, map(math.log10, table.eligible_totals), table.scite_index))
 
 
 def write_summary_json(summaries: dict[str, StatsSummary], out: IO[str]) -> None:

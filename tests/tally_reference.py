@@ -9,7 +9,7 @@ the next is read.
 from __future__ import annotations
 
 import csv
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from citemetric.aggregate import TALLY_HEADER, TallyTable
 from citemetric.errors import EmptyKeyError, MalformedLineError
@@ -17,7 +17,7 @@ from citemetric.model import JournalTally, normalize_journal_key
 
 
 def read_tally_csv(source: Iterable[str]) -> TallyTable:
-    reader = csv.reader(source)
+    reader = csv.reader(_nul_free(source))
     try:
         header = tuple(next(reader, ()))
         if header and header[0].startswith("\ufeff"):
@@ -49,3 +49,12 @@ def read_tally_csv(source: Iterable[str]) -> TallyTable:
     except csv.Error as exc:
         # csv's own advice, after " - ", is dropped from the message.
         raise MalformedLineError(f"line {reader.line_num}: invalid CSV: {str(exc).partition(' - ')[0]}") from None
+
+
+def _nul_free(source: Iterable[str]) -> Iterator[str]:
+    """The lines of ``source``; a line that holds U+0000 is refused as
+    Python 3.10's csv module refuses it, on every Python."""
+    for lineno, line in enumerate(source, start=1):
+        if "\0" in line:
+            raise MalformedLineError(f"line {lineno}: invalid CSV: line contains NUL")
+        yield line

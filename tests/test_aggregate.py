@@ -342,6 +342,7 @@ TALLY_ROWS = {
     "duplicate": lambda i: f" K{i // 2} ,1,0,0,1\n",
     "duplicate-later": lambda i: f"k{i + 3},0,0,1,1\n",
     "csv-error": lambda i: f"k{i}\r,1,2,3,6\n",
+    "nul": lambda i: f"k{i}\0,1,2,3,6\n",
     "source": None,
 }
 
@@ -394,12 +395,18 @@ class TestChunkedRead:
             ({CHUNK + 10: "csv-error", 2 * CHUNK - 1: "total"}, f"line {CHUNK + 12}: invalid CSV: "),
             ({CHUNK + 3: "sign", CHUNK + 10: "source"}, f"row {CHUNK + 5}: invalid count '+2'"),
             ({CHUNK - 1: "good", CHUNK: "duplicate"}, f"row {CHUNK + 2}: duplicate journal 'k{CHUNK // 2}'"),
+            ({CHUNK + 3: "total", CHUNK + 10: "nul"}, f"row {CHUNK + 5}: total 7 != 6"),
+            ({CHUNK + 10: "nul", CHUNK + 11: "csv-error"}, f"line {CHUNK + 12}: invalid CSV: line contains NUL"),
+            ({CHUNK + 10: "nul", CHUNK + 11: "source"}, f"line {CHUNK + 12}: invalid CSV: line contains NUL"),
         ],
         ids=[
             "bad-row-before-csv-error",
             "csv-error-before-bad-row",
             "bad-row-before-source-error",
             "duplicate-across-chunks",
+            "bad-row-before-nul",
+            "nul-before-csv-error",
+            "nul-before-source-error",
         ],
     )
     def test_first_fault_wins(self, placed, message):

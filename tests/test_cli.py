@@ -2,11 +2,13 @@ import ast
 import contextlib
 import csv
 import errno
+import gc
 import hashlib
 import io
 import json
 import os
 import random
+import runpy
 import signal
 import stat
 import subprocess
@@ -14,6 +16,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from collections import deque
 from functools import partial
 from itertools import islice
@@ -24,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import citemetric.cli as cli
-from citemetric import ingest, ranges, synth
+from citemetric import ingest, ranges, stats, synth
 from citemetric.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, EXIT_USAGE, run
 from citemetric.ingest import CSV_HEADER, Format, format_record
 from citemetric.synth import SynthParams, generate_corpus, journal_counts
@@ -215,6 +218,17 @@ class TestAggregate:
         assert run(["aggregate", "-f", "csv", "--policy", "skip", str(src), "-o", str(out)]) == EXIT_OK
         assert capsys.readouterr().err == f"{src}: 1 accepted, 1 rejected\n  {src}:3: MalformedLineError: {reason}\n"
 
+    @pytest.mark.parametrize("bad", ["w\0x,Nature,supporting", "w1,Na\0ture,supporting", "w1,Nature,supporting\0"])
+    def test_a_nul_in_a_csv_line_is_refused_on_every_python(self, tmp_path, capsys, bad):
+        src = write_lines(tmp_path / "in.csv", ["citing_id,journal,class", "w0,Nature,supporting", bad])
+        out = tmp_path / "t.csv"
+        reason = "invalid CSV: line contains NUL"
+        assert run(["aggregate", "-f", "csv", str(src), "-o", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"citemetric: error: {src}: line 3: {reason}\n"
+        assert run(["aggregate", "-f", "csv", "--policy", "skip", str(src), "-o", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == f"{src}: 1 accepted, 1 rejected\n  {src}:3: MalformedLineError: {reason}\n"
+        assert out.read_text() == "journal,supporting,disputing,mentioning,total\nnature,1,0,0,1\n"
+
     @pytest.mark.parametrize(
         "bad, message",
         [
@@ -350,6 +364,41 @@ class TestUnwritableStderr:
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(**cli_child(["aggregate", src, "-o", tmp_path / "t.csv"]), stderr=full, timeout=60)
         assert proc.returncode == EXIT_IO
+
+
+class TestEntry:
+    """``python -m citemetric.cli`` and the ``citemetric`` script run
+    ``main``, which freezes the import-time heap out of the cyclic garbage
+    collector; ``run``, which callers use in-process, never freezes."""
+
+    def report_argv(self, tmp_path):
+        return ["report", str(make_tally(tmp_path / "t.csv", TestReport.ROWS)), "-o", str(tmp_path / "out")]
+
+    def test_main_freezes_once_then_exits_with_the_code_of_run(self, tmp_path, monkeypatch):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append("freeze"))
+        assert run(self.report_argv(tmp_path)) == EXIT_OK
+        assert frozen == []
+        monkeypatch.setattr(sys, "argv", ["citemetric", *self.report_argv(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == EXIT_OK and len(frozen) == 1
+        monkeypatch.setattr(sys, "argv", ["citemetric", "report"])
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            cli.main()
+        assert exc.value.code == EXIT_USAGE and len(frozen) == 2
+
+    def test_module_and_script_run_main(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(sys, "argv", ["citemetric", *self.report_argv(tmp_path)])
+        with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+            # runpy warns that the module it runs as __main__ is imported already.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("citemetric.cli", run_name="__main__")
+        assert exc.value.code == EXIT_OK and calls == ["freeze"]
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        assert '\ncitemetric = "citemetric.cli:main"\n' in pyproject
 
 
 #: The names bench/tracing.py swaps in cli's namespace to time each stage.
@@ -499,6 +548,31 @@ class TestReport:
         assert run(["report", str(tmp_path / "t.csv"), "-o", str(tmp_path / "out")]) == EXIT_INTERRUPTED
         assert capsys.readouterr().err == "citemetric: interrupted\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_each_column_is_centred_once(self, tmp_path, monkeypatch):
+        # summarize and correlation_report read the supporting, disputing
+        # and index columns; correlation_report reads the totals twice.
+        centred = []
+        real = stats._centre
+
+        def centre(xs):
+            centred.append(tuple(xs))
+            return real(xs)
+
+        monkeypatch.setattr(stats, "_centre", centre)
+        code, _ = self.run_report(tmp_path)
+        assert code == EXIT_OK
+        s, d, m = zip(*(counts for _, *counts in sorted(self.ROWS)))
+        totals = tuple(map(sum, zip(s, d, m)))
+        eligible_totals = tuple(t for t in totals if t > 100)
+        assert len(centred) == 5 and len(set(centred)) == 5
+        assert {s, d, totals, eligible_totals} < set(centred)
+
+    def test_a_nul_in_the_tally_is_refused_on_every_python(self, tmp_path, capsys):
+        tally = write_lines(tmp_path / "t.csv", ["journal,supporting,disputing,mentioning,total", "a,1,0,0,1", "b\0,1,0,0,1"])
+        assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"citemetric: error: {tally}: line 3: invalid CSV: line contains NUL\n"
+        assert not (tmp_path / "out").exists()
 
     def test_tally_errors_name_the_tally(self, tmp_path, capsys):
         bad = write_lines(tmp_path / "t.csv", ["journal,supporting,disputing,mentioning,total", "a,1,2,3,99"])

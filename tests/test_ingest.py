@@ -56,6 +56,13 @@ class TestParseRecord:
         with pytest.raises(MalformedLineError):
             parse_record(line, Format.CSV)
 
+    @pytest.mark.parametrize("line", ["w\0,Nature,supporting", "w1,Na\0ture,supporting", 'w1,"Na\0ture",supporting', "\0"])
+    def test_csv_line_with_a_nul_is_malformed_on_every_python(self, line):
+        with pytest.raises(MalformedLineError) as exc:
+            parse_record(line, Format.CSV)
+        assert str(exc.value) == "invalid CSV: line contains NUL"
+        assert ingest._csv_columns(["w1,Nature,supporting", line]) is None
+
     def test_jsonl_basic(self):
         rec = parse_record('{"citing_id":"w1","journal":"Nature","class":"SUPPORTING"}', Format.JSONL)
         assert rec == CitationRecord("w1", "nature", SUP)
@@ -197,6 +204,11 @@ class TestIngestStream:
     def test_csv_header_required_even_under_skip(self):
         records, _ = ingest_stream(["w1,Nature,supporting"], Format.CSV, Policy.SKIP)
         with pytest.raises(MalformedLineError, match="header"):
+            list(records)
+
+    def test_csv_header_with_a_nul_is_malformed(self):
+        records, _ = ingest_stream(["citing_id,journal,class\0", "w1,Nature,supporting"], Format.CSV, Policy.SKIP)
+        with pytest.raises(MalformedLineError, match="^line 1: invalid CSV: line contains NUL$"):
             list(records)
 
     def test_csv_missing_header_on_empty_file(self):
@@ -551,6 +563,7 @@ _PINNED = {
         [_HEADER, "w1,Nature,supporting", "w2,   ,supporting", "w3,Nature,contrasting", "", "w4,Cell,Disputing"],
         [_HEADER, "w1,Nature,supporting", "w2," + "x" * 131_073 + ",supporting", "w3,Cell,mentioning"],
         [_HEADER, 'w1,"Na\rture",supporting', "w2,Na\rture,supporting\r", "w3,Cell,mentioning\rw4,Cell,mentioning"],
+        [_HEADER, "w1,Nature,supporting", "w\0x,Nature,supporting", 'w3,"Na\0ture",mentioning', "w4,Cell,mentioning"],
     ],
 }
 

@@ -1,14 +1,16 @@
 import csv
 import io
+import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_scite_index
 
-from citemetric.errors import UndefinedIndexError
+from citemetric.errors import CitemetricError, UndefinedIndexError
 from citemetric.metrics import (
     METRICS_HEADER,
     build_metrics_table,
@@ -16,7 +18,8 @@ from citemetric.metrics import (
     scite_index,
     write_metrics_csv,
 )
-from citemetric.model import U64_MAX, JournalTally, MetricsConfig
+from citemetric.model import U64_MAX, CorrelationReport, JournalMetrics, JournalTally, MetricsConfig
+from citemetric.stats import correlation_report, pearson, scatter_points
 
 counts = st.integers(0, U64_MAX)
 small = st.integers(0, 200)
@@ -149,3 +152,129 @@ class TestMetricsTable:
         buf = io.StringIO()
         write_metrics_csv(build_metrics_table({'a\rb "c"': JournalTally(1, 2, 3)}), buf)
         assert buf.getvalue() == ",".join(METRICS_HEADER) + '\n"a\rb ""c""",1,2,3,6,3,false,\n'
+
+
+def oracle_rows(tallies, config):
+    """The metrics table one journal at a time, each row built by the
+    checked JournalMetrics constructor."""
+    rows = []
+    for journal in sorted(tallies):
+        tally = tallies[journal]
+        s, d, m = tally
+        if s + d + m > config.min_total_citations and s + d >= config.min_classified:
+            rows.append(JournalMetrics(journal, tally, exact_scite_index(s, d), True))
+        else:
+            rows.append(JournalMetrics(journal, tally, None, False))
+    return rows
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CitemetricError as exc:
+        return type(exc), str(exc)
+
+
+def oracle_correlations(rows):
+    """correlation_report of the rows, from columns built one row at a time."""
+    supporting, disputing, totals, si, eligible_totals = [], [], [], [], []
+    for _, (s, d, m), index, eligible in rows:
+        supporting.append(s)
+        disputing.append(d)
+        totals.append(s + d + m)
+        if eligible:
+            si.append(index)
+            eligible_totals.append(s + d + m)
+    coefficients = []
+    for xs, ys, name in (
+        (supporting, totals, "supporting vs total"),
+        (disputing, totals, "disputing vs total"),
+        (si, eligible_totals, "scite index vs total"),
+    ):
+        r = outcome(pearson, xs, ys)
+        if isinstance(r, tuple):
+            return r[0], f"{name}: {r[1]}"
+        coefficients.append(r)
+    return CorrelationReport(*coefficients)
+
+
+def metrics_csv(rows) -> str:
+    buf = io.StringIO()
+    write_metrics_csv(rows, buf)
+    return buf.getvalue()
+
+
+class TestColumnTable:
+    @given(
+        st.dictionaries(
+            st.text(max_size=4),
+            st.builds(JournalTally, small, small, small) | st.builds(JournalTally, counts, counts, counts),
+            max_size=12,
+        ),
+        st.builds(MetricsConfig, small | st.integers(0, 2 * U64_MAX), st.integers(1, 300)),
+    )
+    @settings(max_examples=300)
+    @example({}, MetricsConfig())
+    @example({"j": JournalTally(1, 0, 100)}, MetricsConfig())
+    @example({"a": JournalTally(1, 2, 3), "b": JournalTally(4, 5, 6)}, MetricsConfig())
+    def test_equals_the_row_by_row_oracle(self, tallies, config):
+        table = build_metrics_table(tallies, config)
+        rows = oracle_rows(tallies, config)
+        assert list(table) == rows
+        assert [type(row) for row in table] == [JournalMetrics] * len(rows)
+        assert table == rows and rows == table and table == build_metrics_table(tallies, config)
+        assert table != rows[:-1] or not rows
+        assert len(table) == len(rows) and bool(table) == bool(rows)
+        for i in range(-len(rows), len(rows)):
+            assert table[i] == rows[i] and type(table[i]) is JournalMetrics
+        assert table[1:-1] == rows[1:-1] and table[::2] == rows[::2]
+        with pytest.raises(IndexError):
+            table[len(rows)]
+        assert [evaluate_journal(j, tallies[j], config) for j in sorted(tallies)] == rows
+        assert metrics_csv(table) == metrics_csv(rows)
+        for metrics in (table, rows):
+            assert outcome(correlation_report, metrics) == oracle_correlations(rows)
+            assert scatter_points(metrics) == [
+                (r.journal, math.log10(r.tally.total()), r.scite_index) for r in rows if r.eligible
+            ]
+
+    def test_is_read_only(self):
+        table = build_metrics_table({"a": JournalTally(1, 2, 3)})
+        with pytest.raises(TypeError):
+            table[0] = table[0]
+        with pytest.raises(AttributeError):
+            table.extra = 1
+        with pytest.raises(TypeError):
+            hash(table)
+
+    def test_no_python_step_per_journal(self):
+        """Evaluating 5,000 journals, reading the columns report reads, and
+        correlating and scattering them, from a table or from a list of
+        its rows, enter fewer than 100 Python frames."""
+        tallies = {f"j{i}": JournalTally(i % 300, i % 7, i % 11) for i in range(5000)}
+        events = 0
+
+        def profile(frame, event, arg):
+            nonlocal events
+            events += event == "call"
+
+        old = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            metrics = build_metrics_table(tallies)
+            columns = (metrics.supporting, metrics.disputing, metrics.scite_index)
+            report = correlation_report(metrics)
+            points = scatter_points(metrics)
+        finally:
+            sys.setprofile(old)
+        assert events < 100
+        assert len(points) == len(columns[2]) > 100 and len(columns[0]) == 5000
+        rows = list(metrics)
+        events = 0
+        sys.setprofile(profile)
+        try:
+            assert correlation_report(rows) == report
+            assert scatter_points(rows) == points
+        finally:
+            sys.setprofile(old)
+        assert events < 100
