@@ -13,14 +13,13 @@ and overflow-check there.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from itertools import chain, compress, repeat
 from operator import add, is_, sub
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 from .errors import ArithmeticOverflowError, EmptyKeyError, MalformedLineError
-from .ingest import csv_error, csv_field, csv_lines, read_ahead, runs_of
+from .ingest import _BATCH_LINES, csv_field, csv_row, csv_rows, read_ahead, runs_of
 from .model import (
     U64_MAX,
     CitationClass,
@@ -37,9 +36,6 @@ TallyTable = dict[JournalKey, JournalTally]
 #: Each class's one-hot (supporting, disputing, mentioning) row; the
 #: members iterate in that order.
 _ONE = {klass: tuple(int(k is klass) for k in CitationClass) for klass in CitationClass}
-
-#: Most tally-CSV rows read and checked together.
-_CHUNK_ROWS = 512
 
 
 def add_record(table: TallyTable, record: CitationRecord) -> TallyTable:
@@ -129,21 +125,21 @@ def write_tally_csv(table: TallyTable, out: IO[str]) -> None:
 def read_tally_csv(source: Iterable[str]) -> TallyTable:
     """Parse a tally CSV back into a table, validating counts and totals.
 
-    Counts must be ASCII decimal digits; any other field is an invalid count.
+    Each item of ``source`` is one line and holds one row, so row N is line
+    N and a quoted field cannot run on into the next line. Counts must be
+    ASCII decimal digits; any other field is an invalid count.
 
-    A BOM before the header is dropped, as in corpus files. A line that
-    holds U+0000 is refused, ``line N: invalid CSV: line contains NUL``, on
-    every Python.
+    Lines are read ahead and parsed in batches, as a CSV corpus's are; a
+    batch that fails a check is read again line by line, so its error is
+    that of a line-at-a-time read. A BOM before the header is dropped, as in
+    corpus files. A line that holds U+0000 is refused, ``line N: invalid
+    CSV: line contains NUL``, on every Python.
     """
-    reader = csv.reader(csv_lines(source))
+    lines = iter(source)
     try:
-        return _read_tally_rows(reader)
-    except csv.Error as exc:
-        raise MalformedLineError(f"line {reader.line_num}: {csv_error(exc)}") from None
-
-
-def _read_tally_rows(reader: Iterator[list[str]]) -> TallyTable:
-    header = tuple(next(reader, ()))
+        header = tuple(csv_row(next(lines, "")))
+    except MalformedLineError as exc:
+        raise MalformedLineError(f"line 1: {exc}") from None
     if header and header[0].startswith("\ufeff"):
         header = (header[0][1:], *header[1:])
     if header != TALLY_HEADER:
@@ -152,10 +148,11 @@ def _read_tally_rows(reader: Iterator[list[str]]) -> TallyTable:
         )
     table: TallyTable = {}
     rownum = 2
-    for rows in read_ahead(reader, _CHUNK_ROWS):
-        if not _add_columns(table, rows):
-            _add_rows(table, rows, rownum)
-        rownum += len(rows)
+    for batch in read_ahead(lines, _BATCH_LINES):
+        rows = csv_rows(batch)
+        if rows is None or not _add_columns(table, rows):
+            _add_rows(table, batch, rownum)
+        rownum += len(batch)
     return table
 
 
@@ -188,12 +185,15 @@ def _add_columns(table: TallyTable, rows: list[list[str]]) -> bool:
     return True
 
 
-def _add_rows(table: TallyTable, rows: list[list[str]], start: int) -> None:
-    """Check and add the rows one at a time, ``start`` being the first's row
-    number; the only code that words a tally-CSV error."""
-    for rownum, row in enumerate(rows, start=start):
+def _add_rows(table: TallyTable, lines: list[str], start: int) -> None:
+    """Read, check and add the rows of ``lines`` one at a time, ``start``
+    being the first's row number; the only code that words a tally-CSV error."""
+    for rownum, line in enumerate(lines, start=start):
         try:
+            row = csv_row(line)
             raw_key, s, d, m, total = row
+        except MalformedLineError as exc:
+            raise MalformedLineError(f"line {rownum}: {exc}") from None
         except ValueError:
             raise MalformedLineError(f"row {rownum}: expected {len(TALLY_HEADER)} fields, got {len(row)}") from None
         # Counts are ASCII decimal digits only, as written: int() alone would

@@ -9,8 +9,11 @@ may not contain a ``\n``, and no line may hold more than ``MAX_LINE_BYTES``
 bytes. The parser hands out runs, one per batch of lines, each the columns
 of the batch's accepted records; :class:`RecordStream` turns them
 into records and :func:`runs_of` turns records back into runs, so the fold
-never sees which it was given. The package's one CSV quoting rule and one
-read-ahead loop live here too.
+never sees which it was given. The package's one CSV quoting rule, one
+read-ahead loop and one CSV line reader live here too: a corpus and a tally
+CSV are both read a batch of lines at a time by :func:`csv_rows`, one row
+per line, and a refused batch one line at a time by :func:`csv_row`, the
+one place a CSV line's error, U+0000 included, is worded.
 """
 
 from __future__ import annotations
@@ -184,49 +187,38 @@ def _decode(data: bytes, offset: int) -> Iterator[Iterator[str]]:
     yield io.StringIO(text, newline="\n")
 
 
-def csv_error(exc: csv.Error) -> str:
-    """The words of a ``csv`` error, without the advice some of its messages
-    end in (to open the file in universal-newline mode, or with
-    ``newline=''``), which a program that opens every input itself cannot
-    act on."""
-    return f"invalid CSV: {str(exc).partition(' - ')[0]}"
-
-
-#: The error of a CSV line that holds U+0000: the words of Python 3.10's
-#: ``csv.reader``, which refuses such a line where later readers accept it.
-#: The package refuses it on every Python.
-_NUL_ERROR = "invalid CSV: line contains NUL"
-
-
-def csv_lines(source: Iterable[str]) -> Iterator[str]:
-    """The lines of ``source``, for a ``csv.reader``, read ahead and checked
-    ``_BATCH_LINES`` at a time by one C-level test.
+def csv_row(line: str) -> list[str]:
+    """The fields of the CSV ``line`` on its own; the one place a CSV line's
+    error is worded.
 
     Raises:
-        MalformedLineError: ``line N: invalid CSV: line contains NUL`` for
-            the first line N that holds U+0000, after the lines before it.
+        MalformedLineError: the line holds U+0000, or ``csv`` refuses it.
     """
-    return chain.from_iterable(_nul_free(source))
-
-
-def _nul_free(source: Iterable[str]) -> Iterator[list[str]]:
-    lineno = 0
-    for lines in read_ahead(source, _BATCH_LINES):
-        if "\0" in "".join(lines):
-            nul = next(i for i, line in enumerate(lines) if "\0" in line)
-            yield lines[:nul]
-            raise MalformedLineError(f"line {lineno + nul + 1}: {_NUL_ERROR}")
-        yield lines
-        lineno += len(lines)
-
-
-def _csv_row(line: str) -> list[str]:
     if "\0" in line:
-        raise MalformedLineError(_NUL_ERROR)
+        # Python 3.10's csv.reader refuses such a line, in these words, where
+        # later readers accept it; the package refuses it on every Python.
+        raise MalformedLineError("invalid CSV: line contains NUL")
     try:
         return next(csv.reader((line,)), [])
     except csv.Error as exc:
-        raise MalformedLineError(csv_error(exc)) from None
+        # Without the advice some csv errors end in (universal-newline mode,
+        # or newline=''), which a program that opens every input itself
+        # cannot act on.
+        raise MalformedLineError(f"invalid CSV: {str(exc).partition(' - ')[0]}") from None
+
+
+def csv_rows(lines: list[str]) -> list[list[str]] | None:
+    """The rows of the CSV ``lines``, one per line, read by one
+    ``csv.reader``; None when a line holds U+0000, ``csv`` fails on a line,
+    or a quoted field runs on into the next line. Each line of a refused
+    batch is then read on its own by :func:`csv_row`, which words its error."""
+    if "\0" in "".join(lines):
+        return None
+    try:
+        rows = list(csv.reader(lines))
+    except csv.Error:
+        return None
+    return rows if len(rows) == len(lines) else None
 
 
 def _fields(line: str, fmt: Format) -> tuple[str, str, str]:
@@ -256,7 +248,7 @@ def _fields(line: str, fmt: Format) -> tuple[str, str, str]:
         if not (isinstance(journal, str) and isinstance(label, str) and isinstance(citing_id, str)):
             raise MalformedLineError("citing_id, journal and class must be strings")
     elif fmt is Format.CSV:
-        row = _csv_row(line)
+        row = csv_row(line)
         if len(row) != len(CSV_HEADER):
             raise MalformedLineError(f"expected {len(CSV_HEADER)} CSV fields, got {len(row)}")
         citing_id, journal, label = row
@@ -294,7 +286,7 @@ def _key_of(journal: str) -> str:
 
 def _check_header(line: str) -> None:
     try:
-        header = tuple(_csv_row(line))
+        header = tuple(csv_row(line))
     except MalformedLineError as exc:
         raise MalformedLineError(f"line 1: {exc}") from None
     if header != CSV_HEADER:
@@ -309,17 +301,11 @@ _NO_ROW = ("", "", "")
 
 def _csv_columns(lines: list[str]) -> tuple[tuple[str, ...], ...] | None:
     """The ``(citing_id, journal, class)`` columns of the CSV ``lines``; None
-    when csv fails on a line or a quoted field runs on into the next line.
-    A row of the wrong length is replaced in place by ``_NO_ROW``, so the
-    batch is never rebuilt and only such a row costs a Python step. A batch
-    with a line that holds U+0000 is refused, for :func:`_csv_row` to word."""
-    if "\0" in "".join(lines):
-        return None
-    try:
-        rows = list(csv.reader(lines))
-    except csv.Error:
-        return None
-    if len(rows) != len(lines):
+    when :func:`csv_rows` refuses them. A row of the wrong length is replaced
+    in place by ``_NO_ROW``, so the batch is never rebuilt and only such a
+    row costs a Python step."""
+    rows = csv_rows(lines)
+    if rows is None:
         return None
     for i in compress(count(), map(ne, map(len, rows), repeat(len(CSV_HEADER)))):
         rows[i] = _NO_ROW

@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 from functools import reduce
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import tally_reference
 from conftest import assert_tally_types, make_records, tallies, tally_tables
 
-from citemetric import aggregate
+from citemetric import ingest
 from citemetric.aggregate import (
     TALLY_HEADER,
     add_counts,
@@ -20,7 +21,7 @@ from citemetric.aggregate import (
     write_tally_csv,
 )
 from citemetric.errors import ArithmeticOverflowError, MalformedLineError
-from citemetric.model import U64_MAX, CitationClass, CitationRecord, JournalTally
+from citemetric.model import U64_MAX, CitationClass, CitationRecord, JournalTally, normalize_journal_key
 
 SUP = CitationClass.SUPPORTING
 DIS = CitationClass.DISPUTING
@@ -309,6 +310,26 @@ class TestTallyCsv:
             read_tally_csv([header, "good,1,2,3,6\n", row])
         assert str(exc.value) == f"row 3: {message}"
 
+    @pytest.mark.parametrize(
+        "after", ["c,1,0,0,2\n", "c\r,1,0,0,1\n", "c\0,1,0,0,1\n"], ids=["total", "csv-error", "nul"]
+    )
+    def test_a_quoted_journal_split_across_lines_is_refused_at_its_first_line(self, after):
+        # Each line is one row, so the first line of the split field is a row
+        # of one field, refused before a fault on a later line is read.
+        with pytest.raises(MalformedLineError) as exc:
+            read_tally_csv([TALLY_HEAD, '"a\n', 'b",1,0,0,1\n', after])
+        assert str(exc.value) == "row 2: expected 5 fields, got 1"
+
+    def test_a_corpus_and_a_tally_refuse_a_split_field_on_the_same_line(self):
+        corpus = ["citing_id,journal,class\n", "w1,a,supporting\n", 'w2,"b\n', 'c",supporting\n']
+        tally = [TALLY_HEAD, "a,1,0,0,1\n", '"b\n', 'c",1,0,0,1\n']
+        with pytest.raises(MalformedLineError) as corpus_error:
+            aggregate_corpus(ingest.ingest_stream(corpus, ingest.Format.CSV)[0])
+        with pytest.raises(MalformedLineError) as tally_error:
+            read_tally_csv(tally)
+        assert str(corpus_error.value) == "line 3: expected 3 CSV fields, got 2"
+        assert str(tally_error.value) == "row 3: expected 5 fields, got 1"
+
     def test_read_rejects_duplicate_journal(self):
         header = ",".join(TALLY_HEADER) + "\n"
         with pytest.raises(MalformedLineError, match="duplicate"):
@@ -320,7 +341,7 @@ class TestTallyCsv:
         assert table == {"nature medicine": JournalTally(1, 2, 3)}
 
 
-CHUNK = aggregate._CHUNK_ROWS
+CHUNK = ingest._BATCH_LINES  # read_tally_csv's batch of data lines
 TALLY_HEAD = ",".join(TALLY_HEADER) + "\n"
 
 #: Row ``i`` of a tally CSV for each kind of row, the faulty ones named by
@@ -329,6 +350,7 @@ TALLY_ROWS = {
     "good": lambda i: f"k{i},{i % 7},{i % 3},{i % 5},{i % 7 + i % 3 + i % 5}\n",
     "unnormalized": lambda i: f"  K{i}  x ,1,2,3,6\n",
     "quoted": lambda i: f'"k{i}, ""q""",1,0,0,1\n',
+    "quoted-newline": lambda i: f'"k{i}\nq",1,0,0,1\n',
     "blank": lambda i: "\n",
     "few-fields": lambda i: f"k{i},1,2,3\n",
     "many-fields": lambda i: f"k{i},1,2,3,6,0\n",
@@ -349,13 +371,14 @@ TALLY_ROWS = {
 
 def tally_lines(rows: int, placed: dict[int, str]):
     """The lines of a tally CSV of ``rows`` data rows, good except where
-    ``placed`` puts another kind; a "source" fault raises from the source."""
+    ``placed`` puts another kind; a "source" fault raises from the source.
+    A row whose quoted field holds a newline is two lines."""
     yield TALLY_HEAD
     for i in range(rows):
         kind = placed.get(i, "good")
         if kind == "source":
             raise MalformedLineError(f"source fails before row {i + 2}")
-        yield TALLY_ROWS[kind](i)
+        yield from io.StringIO(TALLY_ROWS[kind](i), newline="\n")
 
 
 def read_outcome(read, rows, placed):
@@ -381,6 +404,8 @@ class TestChunkedRead:
     @example(CHUNK + 20, {CHUNK + 3: "empty-key", CHUNK + 10: "source"})
     @example(2 * CHUNK, {CHUNK - 1: "csv-error", CHUNK: "range"})
     @example(2 * CHUNK, {CHUNK - 1: "good", CHUNK: "duplicate"})
+    @example(2 * CHUNK, {CHUNK - 1: "quoted-newline", CHUNK + 1: "total"})
+    @example(2 * CHUNK, {CHUNK - 3: "quoted-newline", CHUNK - 2: "csv-error"})
     def test_same_table_or_error_as_row_by_row(self, rows, placed):
         got = read_outcome(read_tally_csv, rows, placed)
         assert got == read_outcome(tally_reference.read_tally_csv, rows, placed)
@@ -421,3 +446,25 @@ class TestChunkedRead:
 
         with pytest.raises(KeyboardInterrupt):
             read_tally_csv(source())
+
+    def test_a_clean_read_runs_no_python_step_per_row(self):
+        """Reading 40 batches of good rows makes fewer than 100 Python and C
+        calls a batch, not counting those of normalize_journal_key: no row
+        takes a Python step of the reader's own."""
+        n = 40 * CHUNK
+        lines = list(tally_lines(n, {}))
+        key_code = normalize_journal_key.__code__
+        events = 0
+
+        def profile(frame, event, arg):
+            nonlocal events
+            events += event in ("call", "c_call") and frame.f_code is not key_code
+
+        old = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            table = read_tally_csv(lines)
+        finally:
+            sys.setprofile(old)
+        assert len(table) == n
+        assert events < 100 * 40

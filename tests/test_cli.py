@@ -602,6 +602,13 @@ class TestReport:
             f"citemetric: error: {tally}: line 3: invalid CSV: new-line character seen in unquoted field\n"
         )
 
+    def test_a_quoted_journal_split_across_lines_is_a_data_error(self, tmp_path, capsys):
+        # A tally line is one row: the journal "a\nb" does not read as "a b".
+        tally = write_lines(tmp_path / "t.csv", ["journal,supporting,disputing,mentioning,total", '"a', 'b",1,0,0,1'])
+        assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"citemetric: error: {tally}: row 2: expected 5 fields, got 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_a_tally_line_over_the_cap_is_a_data_error(self, tmp_path, capsys):
         tally = make_tally(tmp_path / "t.csv", [("alpha", 1, 2, 3), ("x" * MIB, 1, 2, 3)])
         assert run(["report", str(tally), "-o", str(tmp_path / "out")]) == EXIT_DATA
