@@ -19,7 +19,7 @@ from operator import add, is_, sub
 from typing import IO, Iterable
 
 from .errors import ArithmeticOverflowError, EmptyKeyError, MalformedLineError
-from .ingest import _BATCH_LINES, csv_field, csv_row, csv_rows, read_ahead, runs_of
+from .ingest import batches, csv_field, csv_row, csv_rows, runs_of
 from .model import (
     U64_MAX,
     CitationClass,
@@ -129,30 +129,19 @@ def read_tally_csv(source: Iterable[str]) -> TallyTable:
     N and a quoted field cannot run on into the next line. Counts must be
     ASCII decimal digits; any other field is an invalid count.
 
-    Lines are read ahead and parsed in batches, as a CSV corpus's are; a
-    batch that fails a check is read again line by line, so its error is
-    that of a line-at-a-time read. A BOM before the header is dropped, as in
-    corpus files. A line that holds U+0000 is refused, ``line N: invalid
-    CSV: line contains NUL``, on every Python.
+    Line 1 is read by :func:`.ingest.batches`, as a CSV corpus's is: a BOM
+    is dropped before it is parsed, it must then be the header, and an error
+    in it is worded as a corpus's, ``line 1: …``. The other lines are read
+    ahead and parsed in the batches it cuts; a batch that fails a check is
+    read again line by line, so its error is that of a line-at-a-time read.
+    A line that holds U+0000 is refused, ``line N: invalid CSV: line
+    contains NUL``, on every Python.
     """
-    lines = iter(source)
-    try:
-        header = tuple(csv_row(next(lines, "")))
-    except MalformedLineError as exc:
-        raise MalformedLineError(f"line 1: {exc}") from None
-    if header and header[0].startswith("\ufeff"):
-        header = (header[0][1:], *header[1:])
-    if header != TALLY_HEADER:
-        raise MalformedLineError(
-            f"expected tally header {','.join(TALLY_HEADER)!r}, got {','.join(header)!r}"
-        )
     table: TallyTable = {}
-    rownum = 2
-    for batch in read_ahead(lines, _BATCH_LINES):
+    for lineno, batch in batches(source, TALLY_HEADER):
         rows = csv_rows(batch)
         if rows is None or not _add_columns(table, rows):
-            _add_rows(table, batch, rownum)
-        rownum += len(batch)
+            _add_rows(table, batch, lineno)
     return table
 
 
@@ -187,7 +176,8 @@ def _add_columns(table: TallyTable, rows: list[list[str]]) -> bool:
 
 def _add_rows(table: TallyTable, lines: list[str], start: int) -> None:
     """Read, check and add the rows of ``lines`` one at a time, ``start``
-    being the first's row number; the only code that words a tally-CSV error."""
+    being the first's row number; the only code that words the error of a
+    tally's data line (line 2 on). :func:`.ingest.batches` words line 1's."""
     for rownum, line in enumerate(lines, start=start):
         try:
             row = csv_row(line)

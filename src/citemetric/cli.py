@@ -197,7 +197,7 @@ def _atomic_write(path: str | Path) -> Iterator[IO[str]]:
     except FileNotFoundError:
         info = None
     if info is not None and not stat.S_ISREG(info.st_mode):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
     head, tail = os.path.split(target)
@@ -228,11 +228,15 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     fmt = Format(args.format)
     policy = Policy(args.policy)
     paths: list[str] = args.inputs
-    results = [ranges.fold_file(p, partial(_fold_range, p, fmt, policy)) for p in paths]
     combined: TallyTable = {}
-    for path, (table, report) in zip(paths, results):
-        _print_report(path, report)
+    reports = []
+    for path in paths:
+        table, report = ranges.fold_file(path, partial(_fold_range, path, fmt, policy))
         combined = merge_tables(combined, table)
+        del table  # merged: the next file folds with only the running total held
+        reports.append(report)
+    for path, report in zip(paths, reports):
+        _print_report(path, report)
     with _atomic_write(args.output) as fh:
         write_tally_csv(combined, fh)
     return EXIT_OK

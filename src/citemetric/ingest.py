@@ -1,19 +1,21 @@
 """Parse citation-event files into validated record streams.
 
 Two line-oriented formats are supported: headered CSV
-(``citing_id,journal,class``) and JSONL (one object per line with those keys,
-``citing_id`` optional). Files must be UTF-8; a BOM on the first line is
-stripped. A line ends at ``\n`` and only there; CRs just before it are
-dropped, and any other CR is data. Because parsing is line-by-line, fields
-may not contain a ``\n``, and no line may hold more than ``MAX_LINE_BYTES``
-bytes. The parser hands out runs, one per batch of lines, each the columns
-of the batch's accepted records; :class:`RecordStream` turns them
-into records and :func:`runs_of` turns records back into runs, so the fold
-never sees which it was given. The package's one CSV quoting rule, one
-read-ahead loop and one CSV line reader live here too: a corpus and a tally
-CSV are both read a batch of lines at a time by :func:`csv_rows`, one row
-per line, and a refused batch one line at a time by :func:`csv_row`, the
-one place a CSV line's error, U+0000 included, is worded.
+(``citing_id,journal,class``) and JSONL (one object per line with those
+keys, ``citing_id`` optional). Files must be UTF-8; a BOM on the first line
+is dropped before the line is parsed. A line ends at ``\n`` and only there;
+CRs just before it are dropped, and any other CR is data. Because parsing is
+line-by-line, fields may not contain a ``\n``, and no line may hold more
+than ``MAX_LINE_BYTES`` bytes. The parser hands out runs, one per batch of
+lines, each the columns of the batch's accepted records;
+:class:`RecordStream` turns them into records and :func:`runs_of` turns
+records back into runs, so the fold never sees which it was given. The
+package's one CSV quoting rule, one read-ahead loop and one CSV line reader
+live here too. A corpus and a tally CSV are both cut into numbered batches
+by :func:`batches`, the one reader of line 1 (its BOM, its header and their
+errors), then read a batch at a time by :func:`csv_rows`, one row per line,
+and a refused batch one line at a time by :func:`csv_row`, the one place a
+CSV line's error, U+0000 included, is worded.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ MAX_LINE_BYTES = 1 << 20
 #: to its last newline.
 _BLOCK_BYTES = 1 << 14
 
-#: Lines ingest_stream reads ahead and parses together, and records
-#: runs_of reads into one run.
+#: Lines batches reads ahead, for ingest_stream and read_tally_csv to parse
+#: together, and records runs_of reads into one run.
 _BATCH_LINES = 256
 
 
@@ -221,6 +223,36 @@ def csv_rows(lines: list[str]) -> list[list[str]] | None:
     return rows if len(rows) == len(lines) else None
 
 
+def batches(source: Iterable[str], header: tuple[str, ...] | None) -> Iterator[tuple[int, list[str]]]:
+    """The lines of ``source`` read ahead in non-empty lists of
+    ``_BATCH_LINES`` or fewer, each with the 1-based number of its first
+    line; the one reader of line 1 of a corpus or a tally. A BOM is dropped
+    from line 1. Unless ``header`` is None, line 1 must be that CSV header,
+    and is not handed out.
+
+    Raises:
+        MalformedLineError: ``line 1:`` a missing header, an invalid CSV
+            line 1, or one that is not ``header``.
+    """
+    lines = iter(source)
+    head = [line.removeprefix("\ufeff") for line in islice(lines, 1)]  # line 1, if there is one
+    lineno = 1
+    if header is not None:
+        if not head:
+            raise MalformedLineError("line 1: missing CSV header")
+        line = head.pop().rstrip("\r\n")
+        try:
+            fields = tuple(csv_row(line))
+        except MalformedLineError as exc:
+            raise MalformedLineError(f"line 1: {exc}") from None
+        if fields != header:
+            raise MalformedLineError(f"line 1: expected CSV header {','.join(header)!r}, got {line!r}")
+        lineno = 2
+    for batch in filter(None, read_ahead(chain(head, lines), _BATCH_LINES)):
+        yield lineno, batch
+        lineno += len(batch)
+
+
 def _fields(line: str, fmt: Format) -> tuple[str, str, str]:
     """Split one data line into its raw ``(citing_id, journal, label)``.
 
@@ -282,15 +314,6 @@ def _key_of(journal: str) -> str:
         except UnicodeEncodeError:
             raise MalformedLineError("journal holds a lone surrogate, which UTF-8 cannot encode") from None
     return journal if key == journal else key  # share the raw string when it is already normalized
-
-
-def _check_header(line: str) -> None:
-    try:
-        header = tuple(csv_row(line))
-    except MalformedLineError as exc:
-        raise MalformedLineError(f"line 1: {exc}") from None
-    if header != CSV_HEADER:
-        raise MalformedLineError(f"line 1: expected CSV header {','.join(CSV_HEADER)!r}, got {line!r}")
 
 
 #: Stands in for a malformed line, or a CSV row of the wrong length: its
@@ -475,26 +498,28 @@ def ingest_stream(
 
     Record order matches line order. Under STRICT the first parse error is
     re-raised annotated with its 1-based line number and ends the stream;
-    under SKIP bad lines are counted and the stream continues. In CSV format
-    line 1 must be the exact header ``citing_id,journal,class``; a bad or
-    missing header raises under either policy since the whole file is then
-    suspect. The returned report is shared with the stream and is complete
-    only after the stream has been fully consumed.
+    under SKIP bad lines are counted and the stream continues. A BOM on line
+    1 is dropped. In CSV format line 1 must be the exact header
+    ``citing_id,journal,class``; a bad or missing header raises under either
+    policy since the whole file is then suspect. The returned report is
+    shared with the stream and is complete only after the stream has been
+    fully consumed.
 
     Each item of ``source`` is one line; the ``\\n`` and any CRs at its end
-    are dropped. Lines are read ahead from ``source`` in batches of a few
-    hundred. A batch the column parser refuses is split one line at a time
-    instead, a malformed line standing in as ``_NO_ROW``. Each batch then
-    hands out one run: the ``(citing_ids, keys, classes)`` columns of its
-    accepted lines, a ``compress`` mask dropping the others (under STRICT,
-    every line from the first bad one on). Each bad line is parsed again by
+    are dropped. Lines are read ahead from ``source`` by :func:`batches`,
+    which reads line 1, in batches of a few hundred. A batch the column
+    parser refuses is split one line at a time instead, a malformed line
+    standing in as ``_NO_ROW``. Each batch then hands out one run: the
+    ``(citing_ids, keys, classes)`` columns of its accepted lines, a
+    ``compress`` mask dropping the others (under STRICT, every line from the
+    first bad one on). Each bad line is parsed again by
     :func:`parse_record`, only to word its error. The :class:`RecordStream`
-    builds records from the runs once it is iterated;
-    until then ``aggregate_corpus`` counts the runs themselves. Errors still
-    surface in line order: the records of the lines before a bad line, or
-    before an exception raised by ``source`` itself, come out first. A
-    STRICT error ends the stream's one generator, so a caller that catches
-    it and reads on gets no more records.
+    builds records from the runs once it is iterated; until then
+    ``aggregate_corpus`` counts the runs themselves. Errors still surface in
+    line order: the records of the lines before a bad line, or before an
+    exception raised by ``source`` itself, come out first. A STRICT error
+    ends the stream's one generator, so a caller that catches it and reads
+    on gets no more records.
     """
     report = IngestReport()
     # Per-stream caches of successful lookups only: a failing label or
@@ -527,16 +552,8 @@ def ingest_stream(
         """One run per batch, of its accepted rows, then each refused line
         of the batch to ``reject``; under STRICT the run stops before the
         first refused line."""
-        lineno = 0
-        for batch in read_ahead(source, _BATCH_LINES):
+        for lineno, batch in batches(source, CSV_HEADER if fmt is Format.CSV else None):
             lines = list(map(str.rstrip, batch, repeat("\r\n")))
-            if lineno == 0 and lines:
-                lines[0] = lines[0].removeprefix("\ufeff")
-                if fmt is Format.CSV:
-                    _check_header(lines.pop(0))
-                    lineno = 1
-            if not lines:
-                continue
             # A batch the column parser refuses is split one line at a time.
             ids, journals, labels = columns and columns(lines) or zip(*map(row, lines))
             klasses = _lookup(classes, labels, _class_of)
@@ -551,9 +568,6 @@ def ingest_stream(
                 report.accepted += len(ids)
                 yield ids, found, klasses
             for i in compress(count(), map(not_, kept)):
-                reject(lines[i], lineno + i + 1)
-            lineno += len(lines)
-        if fmt is Format.CSV and lineno == 0:
-            raise MalformedLineError("line 1: missing CSV header")
+                reject(lines[i], lineno + i)
 
     return RecordStream(runs()), report

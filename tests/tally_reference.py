@@ -5,7 +5,9 @@ lines in batches and must return the same table, or raise the same
 MalformedLineError, for every input: each line is read on its own by a
 ``csv.reader`` of its own, as one row, and checked and added before the
 next is read. So row N is line N, and a quoted field that runs on into the
-next line leaves its first line one field.
+next line leaves its first line one field. Line 1 is read by a corpus's
+rule: a BOM is dropped before it is parsed, and it must then be the header
+without its line end.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from citemetric.model import JournalTally, normalize_journal_key
 
 def read_tally_csv(source: Iterable[str]) -> TallyTable:
     lines = enumerate(source, start=1)
-    _, first = next(lines, (1, ""))
-    header = tuple(_row(first, 1))
-    if header and header[0].startswith("\ufeff"):
-        header = (header[0][1:], *header[1:])
-    if header != TALLY_HEADER:
-        raise MalformedLineError(f"expected tally header {','.join(TALLY_HEADER)!r}, got {','.join(header)!r}")
+    _, first = next(lines, (1, None))
+    if first is None:
+        raise MalformedLineError("line 1: missing CSV header")
+    first = first.removeprefix("\ufeff").rstrip("\r\n")
+    if tuple(_row(first, 1)) != TALLY_HEADER:
+        raise MalformedLineError(f"line 1: expected CSV header {','.join(TALLY_HEADER)!r}, got {first!r}")
     table: TallyTable = {}
     for rownum, line in lines:
         row = _row(line, rownum)

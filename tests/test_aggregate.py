@@ -246,6 +246,36 @@ class TestTallyCsv:
         with pytest.raises(MalformedLineError, match="header"):
             read_tally_csv([])
 
+    def test_read_drops_a_bom_before_parsing_line_1(self):
+        # Parsed first, the BOM would join the quoted field's text: \ufeff"journal".
+        lines = ['\ufeff"journal",supporting,disputing,mentioning,total\n', "a,1,0,0,1\n"]
+        assert read_tally_csv(lines) == tally_reference.read_tally_csv(lines) == {"a": JournalTally(1, 0, 0)}
+
+    @pytest.mark.parametrize(
+        "lines, got",
+        [
+            ([], None),  # None: the header is missing
+            (["\n", "a,1,0,0,1\n"], ""),
+            (["foo,bar\n", "a,1,0,0,1\n"], "foo,bar"),
+            (['\ufeff"jo"x,1\r\n', "a,1,0,0,1\n"], '"jo"x,1'),
+        ],
+        ids=["empty", "blank", "wrong", "bom-quoted-crlf"],
+    )
+    def test_a_corpus_and_a_tally_word_a_bad_line_1_alike(self, lines, got):
+        def message(header):
+            if got is None:
+                return "line 1: missing CSV header"
+            return f"line 1: expected CSV header {','.join(header)!r}, got {got!r}"
+
+        corpus = [line.replace("a,1,0,0,1", "w1,a,supporting") for line in lines]
+        with pytest.raises(MalformedLineError) as corpus_error:
+            aggregate_corpus(ingest.ingest_stream(corpus, ingest.Format.CSV)[0])
+        assert str(corpus_error.value) == message(ingest.CSV_HEADER)
+        for read in (read_tally_csv, tally_reference.read_tally_csv):
+            with pytest.raises(MalformedLineError) as tally_error:
+                read(lines)
+            assert str(tally_error.value) == message(TALLY_HEADER)
+
     @pytest.mark.parametrize(
         "row",
         [

@@ -189,6 +189,22 @@ class TestAggregate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    def test_each_file_is_merged_as_soon_as_it_is_folded(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(ranges, "fold_file", spy("fold", ranges.fold_file))
+        monkeypatch.setattr(cli, "merge_tables", spy("merge", cli.merge_tables))
+        inputs = [write_lines(tmp_path / f"in{i}.jsonl", GOOD_LINES[i:]) for i in range(3)]
+        assert run(["aggregate", *map(str, inputs), "-o", str(tmp_path / "t.csv")]) == EXIT_OK
+        assert calls == ["fold", "merge"] * 3
+
     def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "bad.jsonl"
         src.write_bytes(b'{"journal":"a","class":"supporting"}\n\xff\xfe\n')
@@ -794,6 +810,11 @@ class TestAtomicWrites:
         assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
         assert stat.S_IMODE(kept.stat().st_mode) == 0o640
         assert fresh.read_bytes() == kept.read_bytes()
+
+    def test_a_directory_destination_is_named_as_given(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["synth", "--journals", "1", "-o", "."]) == EXIT_IO
+        assert capsys.readouterr().err == "citemetric: error: [Errno 21] Is a directory: '.'\n"
 
     def test_symlink_destination_is_followed(self, tmp_path):
         src = write_lines(tmp_path / "in.jsonl", GOOD_LINES)
