@@ -12,9 +12,9 @@ byte ranges on every usable CPU, with the ingest report, errors and line
 numbers of a single pass (see :mod:`citemetric.ranges`).
 
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 data error, 3 I/O error (a stderr that cannot be written included),
-130 interrupted (Ctrl-C or SIGTERM). All outputs, the ``synth`` corpus
-included, are deterministic for fixed inputs and renamed into place once
+2 data error, 3 I/O error (a stderr that cannot be written and running out
+of memory included), 130 interrupted (Ctrl-C or SIGTERM). All outputs, the
+``synth`` corpus included, are deterministic for fixed inputs and renamed into place once
 complete, so a failed run leaves no partial file.
 """
 
@@ -201,7 +201,9 @@ def _atomic_write(path: str | Path) -> Iterator[IO[str]]:
             yield fh
         return
     head, tail = os.path.split(target)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    # The random part keeps a name a killed run left behind, under a pid
+    # that is now this process's, from blocking the "x" open below.
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "x", encoding="utf-8", newline="")
     except OSError as exc:  # name the destination, as open(path, "w") would
@@ -343,6 +345,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_DATA
     except OSError as exc:
         _say(f"error: {exc}")
+        return EXIT_IO
+    except MemoryError:
+        _say("error: out of memory")
         return EXIT_IO
     except KeyboardInterrupt:
         _say("interrupted")

@@ -14,24 +14,27 @@ it and refuses it at the offset where it starts, as a whole-file read would.
 :func:`fold_file` folds the first range in this process and every other
 one in a forked worker, which streams its tally back over a pipe as
 marshalled frames: lists of at most ``ROWS_PER_CHUNK`` ``(journal,
-supporting, disputing, mentioning)`` rows, then one closing tuple,
-``("ok", accepted, rejected, first_errors)``, ``("data", error class name,
-message)`` or ``("io", message)``. The rows are added into the first range's
-table in place, and the ranges' reports and errors are taken in file order.
+supporting, disputing, mentioning)`` rows, then one closing tuple: ``("ok",
+accepted, rejected, first_errors)``, the fields of its ingest report, or
+``("raised", module, class name, args)``, the exception its fold raised as
+``__reduce__`` takes it apart, which is rebuilt and raised as the first
+range's own. The rows are added into the first range's table in place, and
+the ranges' reports and errors are taken in file order.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import marshal
 import os
 import re
 import signal
 import stat
+import sys
 from itertools import islice
 from typing import IO, Callable
 
-from . import errors
 from .aggregate import TallyTable, add_counts
 from .errors import CitemetricError
 from .ingest import MAX_LINE_BYTES, IngestReport
@@ -99,16 +102,14 @@ def _send(obj: object, out: IO[bytes]) -> None:
 def _work(fold: RangeFold, rng: Range, out: IO[bytes]) -> None:
     try:
         table, report = fold(*rng)
-    except CitemetricError as exc:
-        _send(("data", type(exc).__name__, str(exc)), out)
-        return
-    except OSError as exc:
-        _send(("io", str(exc)), out)
+    except BaseException as exc:
+        cls, args = exc.__reduce__()[:2]
+        _send(("raised", cls.__module__, cls.__qualname__, args), out)
         return
     items = iter(table.items())
     while chunk := [(k, *t) for k, t in islice(items, ROWS_PER_CHUNK)]:
         _send(chunk, out)
-    _send(("ok", report.accepted, report.rejected, report.first_errors), out)
+    _send(("ok", *dataclasses.astuple(report)), out)
 
 
 def _fork_worker(fold: RangeFold, rng: Range) -> tuple[int, IO[bytes]]:
@@ -146,13 +147,24 @@ def _receive(pipe: IO[bytes], table: TallyTable) -> tuple | None:
     return frame
 
 
+def _worded(exc: BaseException, path: str, shift: int) -> BaseException:
+    """``exc`` as a one-range fold of ``path`` raises it: a CitemetricError
+    names ``path``, and its ``line N`` counts the ``shift`` lines before its
+    range; any other exception is itself."""
+    if not isinstance(exc, CitemetricError):
+        return exc
+    message = _LINE_PREFIX.sub(lambda m: f"line {int(m[1]) + shift}: ", str(exc), count=1)
+    return type(exc)(f"{path}: {message}")
+
+
 def fold_file(path: str, fold: RangeFold) -> tuple[TallyTable, IngestReport]:
     """Tally ``path`` with ``fold`` over its ranges, one per usable CPU.
 
-    The result, and the error raised if a range fails, are those of
-    ``fold(0, None)``: the first failing range decides, and its ``line N``
-    counts from the start of the file. Errors name ``path``. A worker that
-    dies or stops short is an OSError; every worker is reaped before return.
+    The result, and the exception raised if a range fails, are those of
+    ``fold(0, None)``, whatever their class and whichever process folds the
+    range: the first failing range decides, a CitemetricError names ``path``
+    and its ``line N`` counts from the start of the file. A worker that dies
+    or stops short is an OSError; every worker is reaped before return.
     """
     (start, length), *rest = plan_ranges(path, usable_cpus())
     workers: list[tuple[int, IO[bytes]]] = []
@@ -162,7 +174,7 @@ def fold_file(path: str, fold: RangeFold) -> tuple[TallyTable, IngestReport]:
         try:
             table, report = fold(start, length)
         except CitemetricError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+            raise _worded(exc, path, 0) from None
         for start, length in rest:
             pid, pipe = workers[0]
             with pipe:
@@ -176,13 +188,9 @@ def fold_file(path: str, fold: RangeFold) -> tuple[TallyTable, IngestReport]:
                 end = "EOF" if length is None else start + length
                 raise OSError(f"{path}: worker for bytes {start}-{end} failed ({how})")
             kind, *detail = outcome
-            if kind == "io":
-                raise OSError(detail[0])
-            if kind == "data":
-                name, message = detail
-                shift = report.accepted + report.rejected
-                message = _LINE_PREFIX.sub(lambda m: f"line {int(m[1]) + shift}: ", message, count=1)
-                raise getattr(errors, name)(f"{path}: {message}")
+            if kind == "raised":
+                module, name, args = detail
+                raise _worded(getattr(sys.modules[module], name)(*args), path, report.accepted + report.rejected)
             report.extend(IngestReport(*detail))
     finally:
         for pid, pipe in workers:  # left only if a range failed or we were interrupted

@@ -565,6 +565,22 @@ class TestReport:
         assert capsys.readouterr().err == "citemetric: interrupted\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_of_memory_while_decoding_is_exit_3_and_keeps_the_old_artifacts(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        code, outdir = self.run_report(tmp_path)
+        assert code == EXIT_OK
+        old = {p.name: p.read_bytes() for p in outdir.iterdir()}
+        capsys.readouterr()
+
+        def decode(data, offset):
+            raise MemoryError
+
+        monkeypatch.setattr(ingest, "_decode", decode)
+        assert run(["report", str(tmp_path / "t.csv"), "--min-citations", "0", "-o", str(outdir)]) == EXIT_IO
+        assert capsys.readouterr().err == "citemetric: error: out of memory\n"
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()} == old
+
     def test_each_column_is_centred_once(self, tmp_path, monkeypatch):
         # summarize and correlation_report read the supporting, disputing
         # and index columns; correlation_report reads the totals twice.
@@ -811,6 +827,17 @@ class TestAtomicWrites:
         assert stat.S_IMODE(kept.stat().st_mode) == 0o640
         assert fresh.read_bytes() == kept.read_bytes()
 
+    def test_a_leftover_temporary_file_under_this_pid_blocks_nothing(self, tmp_path, monkeypatch):
+        # Containers reuse low pids, so a SIGKILLed run's leftover can carry
+        # the pid of a later run writing the same destination.
+        monkeypatch.chdir(tmp_path)
+        leftover = Path(f".t.jsonl.{os.getpid()}.tmp")
+        leftover.write_bytes(b"left by a killed run\n")
+        assert run(["synth", "--journals", "1", "-o", "t.jsonl"]) == EXIT_OK
+        assert Path("t.jsonl").stat().st_size > 0
+        assert leftover.read_bytes() == b"left by a killed run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [leftover.name, "t.jsonl"]
+
     def test_a_directory_destination_is_named_as_given(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run(["synth", "--journals", "1", "-o", "."]) == EXIT_IO
@@ -957,6 +984,21 @@ class TestSynth:
         monkeypatch.setattr(cli, "generate_corpus", failing)
         assert run(["synth", "--journals", "40", "--seed", "1", "-o", str(out)]) == EXIT_IO
         assert "No space left on device" in capsys.readouterr().err
+        assert out.read_bytes() == b"old corpus\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
+
+    def test_out_of_memory_is_exit_3_and_keeps_the_old_corpus(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "c.jsonl"
+        out.write_bytes(b"old corpus\n")
+        real = cli.generate_corpus
+
+        def exhausted(params):
+            yield from islice(real(params), 5000)
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate_corpus", exhausted)
+        assert run(["synth", "--journals", "40", "--seed", "1", "-o", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err == "citemetric: error: out of memory\n"
         assert out.read_bytes() == b"old corpus\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl"]
 

@@ -1,10 +1,15 @@
 """The package parses under the oldest Python that pyproject.toml declares,
-so syntax only a newer interpreter takes (``except*``, say) fails here, and
-it is stdlib-only: every absolute import names a module of the standard
-library or the package itself."""
+so syntax only a newer interpreter takes (``except*``, say) fails here, it
+is stdlib-only: every absolute import names a module of the standard
+library or the package itself, and every other local interpreter it
+supports gives the running one's outcomes on ``interpreter_probe.py``."""
 
 import ast
+import json
+import os
 import re
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +56,39 @@ def test_a_third_party_import_is_caught(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os.path\nfrom numpy import array\nfrom . import ingest\n", encoding="utf-8")
     assert _absolute_imports(module) == ["os", "numpy"]
+
+
+PROBE = ROOT / "tests" / "interpreter_probe.py"
+
+
+def _probe(python: str, work: Path) -> dict:
+    """The output of ``interpreter_probe.py`` run by ``python`` in ``work``."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([python, str(PROBE), str(work)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def running_probe(tmp_path_factory) -> dict:
+    return _probe(sys.executable, tmp_path_factory.mktemp("probe"))
+
+
+@pytest.mark.parametrize("version", [(3, minor) for minor in range(10, 14)], ids="{0[0]}.{0[1]}".format)
+def test_every_local_interpreter_gives_the_same_outcomes(tmp_path, running_probe, version):
+    """Exit codes, stderr and output bytes of ``interpreter_probe.py`` are the
+    running interpreter's under each other ``python3.X`` on PATH that starts."""
+    if version == sys.version_info[:2]:
+        pytest.skip("the running interpreter")
+    python = shutil.which("python{}.{}".format(*version))
+    try:
+        started = python and subprocess.run(
+            [python, "-c", "import sys; print(*sys.version_info[:2])"], capture_output=True, text=True, timeout=30
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        started = None
+    if not started or started.returncode or started.stdout.split() != list(map(str, version)):
+        pytest.skip(f"no python{version[0]}.{version[1]} starts from PATH")
+    got = _probe(python, tmp_path)
+    assert {k: v for k, v in got.items() if v != running_probe.get(k)} == {}
+    assert got.keys() == running_probe.keys()

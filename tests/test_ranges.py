@@ -21,6 +21,7 @@ from conftest import BOM, assert_tally_types, dirty_line, line_kinds, lines_and_
 import citemetric.cli as cli
 from citemetric import ingest, ranges
 from citemetric.cli import EXIT_DATA, EXIT_INTERRUPTED, EXIT_IO, EXIT_OK, run
+from citemetric.errors import UnknownClassError
 
 GOOD = '{"journal":"alpha","class":"supporting"}'
 
@@ -395,25 +396,82 @@ def test_truncated_worker_output_is_io_error(tmp_path):
     assert _no_children_left()
 
 
-def test_worker_io_error_reads_as_in_the_parent(tmp_path):
-    src = _big_corpus(tmp_path)
+def _fails_at(line, exc_for, in_worker):
+    """A range fold that raises ``exc_for(path, n)`` in the first range, or
+    in every other one, where ``n`` numbers file line ``line`` from the
+    range's first line, as a fold numbers its ``line N`` errors."""
     real = cli._fold_range
 
-    def fails(in_worker):
-        def fold(path, fmt, policy, start, length):
-            if bool(start) == in_worker:
-                raise OSError(errno.EIO, os.strerror(errno.EIO), path)
-            return real(path, fmt, policy, start, length)
+    def fold(path, fmt, policy, start, length):
+        if bool(start) == in_worker:
+            with open(path, "rb") as fh:
+                raise exc_for(path, line - fh.read(start).count(b"\n"))
+        return real(path, fmt, policy, start, length)
 
-        return fold
+    return fold
 
+
+#: What a range's fold may raise, made from its path and ``line N``.
+FAILURES = {
+    "OSError": lambda path, n: OSError(errno.EIO, os.strerror(errno.EIO), path),
+    "FileNotFoundError": lambda path, n: FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path),
+    "CitemetricError": lambda path, n: UnknownClassError(f"line {n}: unknown class 'x'"),
+    "MemoryError": lambda path, n: MemoryError(),
+    "RuntimeError": lambda path, n: RuntimeError("unexpected", 7),
+}
+
+
+def _second_range_line(src: Path) -> int:
+    """Split 3 ways, a line of ``src`` in its second range, the first that
+    a worker folds."""
+    (_, length), *_ = ranges.plan_ranges(str(src), 3)
+    return src.read_bytes()[:length].count(b"\n") + 2
+
+
+@pytest.mark.parametrize("name", FAILURES)
+def test_worker_io_error_reads_as_in_the_parent(tmp_path, name):
+    """Whatever a fold raises reads the same from the first range as from a
+    worker's: the same exit code and stderr, or the same exception."""
+    src = _big_corpus(tmp_path)
+    with split_into(3):
+        line = _second_range_line(src)
     runs = []
     for in_worker in (True, False):
-        with split_into(3), mock.patch.object(cli, "_fold_range", fails(in_worker)):
-            runs.append(aggregate([src]))
+        with split_into(3), mock.patch.object(cli, "_fold_range", _fails_at(line, FAILURES[name], in_worker)):
+            try:
+                runs.append(aggregate([src]))
+            except RuntimeError as exc:
+                runs.append((type(exc), exc.args))
         assert _no_children_left()
-    expected = f"citemetric: error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: {str(src)!r}\n"
-    assert runs[0] == runs[1] == (EXIT_IO, expected, None)
+    expected = {
+        "OSError": (EXIT_IO, f"citemetric: error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: {str(src)!r}\n", None),
+        "FileNotFoundError": (
+            EXIT_IO,
+            f"citemetric: error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(src)!r}\n",
+            None,
+        ),
+        "CitemetricError": (EXIT_DATA, f"citemetric: error: {src}: line {line}: unknown class 'x'\n", None),
+        "MemoryError": (EXIT_IO, "citemetric: error: out of memory\n", None),
+        "RuntimeError": (RuntimeError, ("unexpected", 7)),
+    }[name]
+    assert runs[0] == runs[1] == expected
+
+
+@pytest.mark.parametrize("name", FAILURES)
+def test_fold_file_raises_what_the_range_raised_in_either_process(tmp_path, name):
+    src = _big_corpus(tmp_path)
+    with split_into(3):
+        line = _second_range_line(src)
+    raised = []
+    for in_worker in (True, False):
+        fold = partial(_fails_at(line, FAILURES[name], in_worker), str(src), ingest.Format.JSONL, ingest.Policy.STRICT)
+        with split_into(3), pytest.raises(Exception) as info:
+            ranges.fold_file(str(src), fold)
+        exc = info.value
+        raised.append((type(exc), exc.args, getattr(exc, "errno", None), getattr(exc, "filename", None)))
+        assert _no_children_left()
+    assert raised[0] == raised[1]
+    assert raised[0][0] is type(FAILURES[name](str(src), line))
 
 
 @pytest.mark.parametrize("bad_line", [10, 390])  # in the parent's range, in the last worker's
