@@ -428,8 +428,29 @@ def _second_range_line(src: Path) -> int:
     return src.read_bytes()[:length].count(b"\n") + 2
 
 
+def test_worker_io_error_reads_as_in_the_parent(tmp_path):
+    src = _big_corpus(tmp_path)
+    real = cli._fold_range
+
+    def fails(in_worker):
+        def fold(path, fmt, policy, start, length):
+            if bool(start) == in_worker:
+                raise OSError(errno.EIO, os.strerror(errno.EIO), path)
+            return real(path, fmt, policy, start, length)
+
+        return fold
+
+    runs = []
+    for in_worker in (True, False):
+        with split_into(3), mock.patch.object(cli, "_fold_range", fails(in_worker)):
+            runs.append(aggregate([src]))
+        assert _no_children_left()
+    expected = f"citemetric: error: [Errno {errno.EIO}] {os.strerror(errno.EIO)}: {str(src)!r}\n"
+    assert runs[0] == runs[1] == (EXIT_IO, expected, None)
+
+
 @pytest.mark.parametrize("name", FAILURES)
-def test_worker_io_error_reads_as_in_the_parent(tmp_path, name):
+def test_any_range_failure_reads_as_in_the_parent(tmp_path, name):
     """Whatever a fold raises reads the same from the first range as from a
     worker's: the same exit code and stderr, or the same exception."""
     src = _big_corpus(tmp_path)
