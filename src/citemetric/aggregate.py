@@ -9,6 +9,11 @@ table as identity, so the byte ranges and the input files that ``aggregate``
 folds apart combine in any order with identical results. :func:`add_counts`
 is the one summing kernel: merges, single records and workers' rows all add
 and overflow-check there.
+
+:func:`write_tally_csv` and :func:`read_tally_csv` carry a table through a
+tally CSV. ``_add_rows`` is the one check of a tally's data rows: it takes
+a batch a check at a time, and a single row when a batch fails and the
+reader words its error line by line.
 """
 
 from __future__ import annotations
@@ -132,75 +137,71 @@ def read_tally_csv(source: Iterable[str]) -> TallyTable:
     Line 1 is read by :func:`.ingest.batches`, as a CSV corpus's is: a BOM
     is dropped before it is parsed, it must then be the header, and an error
     in it is worded as a corpus's, ``line 1: …``. The other lines are read
-    ahead and parsed in the batches it cuts; a batch that fails a check is
-    read again line by line, so its error is that of a line-at-a-time read.
-    A line that holds U+0000 is refused, ``line N: invalid CSV: line
-    contains NUL``, on every Python.
+    ahead and parsed in the batches it cuts, and each batch is checked by
+    :func:`_add_rows`. A batch that fails is read again line by line:
+    :func:`.ingest.csv_row` words a line's CSV error, ``line N: …``, and
+    the same :func:`_add_rows` words its row's, ``row N: …``, so the error
+    is that of a line-at-a-time read. A line that holds U+0000 is refused,
+    ``line N: invalid CSV: line contains NUL``, on every Python.
     """
     table: TallyTable = {}
     for lineno, batch in batches(source, TALLY_HEADER):
         rows = csv_rows(batch)
-        if rows is None or not _add_columns(table, rows):
-            _add_rows(table, batch, lineno)
+        if rows is not None and _add_rows(table, rows) is None:
+            continue
+        for rownum, line in enumerate(batch, start=lineno):
+            try:
+                row = csv_row(line)
+            except MalformedLineError as exc:
+                raise MalformedLineError(f"line {rownum}: {exc}") from None
+            error = _add_rows(table, [row])
+            if error is not None:
+                raise MalformedLineError(f"row {rownum}: {error}")
     return table
 
 
-def _add_columns(table: TallyTable, rows: list[list[str]]) -> bool:
-    """Add the rows to the table if they pass every check of :func:`_add_rows`,
-    made a column at a time by C-level passes (only normalize_journal_key
-    runs Python code per row). Otherwise return False and leave the table
-    unchanged."""
-    if set(map(len, rows)) != {len(TALLY_HEADER)}:
-        return False
-    raw_keys, *count_columns = zip(*rows)
-    digits = "".join(chain.from_iterable(count_columns))
-    if not (digits.isdigit() and digits.isascii()):
-        return False
-    try:  # int() also refuses an empty count, which the join hid
-        s, d, m, total = (list(map(int, column)) for column in count_columns)
+def _add_rows(table: TallyTable, rows: list[list[str]]) -> str | None:
+    """Add the non-empty list of tally data rows to the table and return
+    None if every row passes every check; otherwise leave the table
+    unchanged and return the error of the first check that fails, worded
+    for the first row that fails it. The one check of a tally data row.
+
+    The checks, in order: field count, count syntax, ``int()``, key
+    normalization, the count range, the total, duplicates (within the rows
+    and against the table). Each is made over all the rows by C-level
+    passes (only normalize_journal_key runs Python code per row); only a
+    failing check walks the rows to word its error.
+    """
+    size = len(TALLY_HEADER)
+    if set(map(len, rows)) != {size}:
+        return next(f"expected {size} fields, got {len(row)}" for row in rows if len(row) != size)
+    fields = list(chain.from_iterable(rows))
+    raw_keys = fields[::size]
+    del fields[::size]  # the count fields are left, row by row
+    # Counts are ASCII decimal digits only, as written: int() alone would
+    # also take " 5", "+1", "1_0" and non-ASCII digits. An empty count
+    # would vanish from the concatenation, so all() tests it.
+    digits = "".join(fields)
+    if not (all(fields) and digits.isdigit() and digits.isascii()):
+        return f"invalid count {next(x for x in fields if not (x.isascii() and x.isdigit()))!r}"
+    try:
+        # int() refuses a count of more digits than its limit; the fields
+        # go row by row, so the first row's such count raises.
+        counts = list(map(int, fields))
         keys = list(map(normalize_journal_key, raw_keys))
-    except (ValueError, EmptyKeyError):
-        return False
-    if (
-        max(max(s), max(d), max(m)) > U64_MAX
-        or list(map(add, map(add, s, d), m)) != total
-        or len(set(keys)) < len(keys)
-        or not table.keys().isdisjoint(keys)
-    ):
-        return False
+        s, d, m, total = (counts[i :: size - 1] for i in range(size - 1))
+        if max(max(s), max(d), max(m)) > U64_MAX:
+            list(map(JournalTally, s, d, m))  # raises the first such row's error
+    except (ValueError, EmptyKeyError) as exc:
+        return str(exc)
+    sums = list(map(add, map(add, s, d), m))
+    if sums != total:
+        return next(f"total {t} != {x}" for t, x in zip(total, sums) if t != x)
+    if len(set(keys)) < len(keys) or not table.keys().isdisjoint(keys):
+        seen = set(table)
+        # set.add returns None, so a key is named at its first repeat.
+        return next(f"duplicate journal {key!r}" for key in keys if key in seen or seen.add(key))
     # Every count is a checked int in [0, 2**64 - 1], so the tallies are
     # built without JournalTally's check.
     table.update(zip(keys, map(tuple.__new__, repeat(JournalTally), zip(s, d, m))))
-    return True
-
-
-def _add_rows(table: TallyTable, lines: list[str], start: int) -> None:
-    """Read, check and add the rows of ``lines`` one at a time, ``start``
-    being the first's row number; the only code that words the error of a
-    tally's data line (line 2 on). :func:`.ingest.batches` words line 1's."""
-    for rownum, line in enumerate(lines, start=start):
-        try:
-            row = csv_row(line)
-            raw_key, s, d, m, total = row
-        except MalformedLineError as exc:
-            raise MalformedLineError(f"line {rownum}: {exc}") from None
-        except ValueError:
-            raise MalformedLineError(f"row {rownum}: expected {len(TALLY_HEADER)} fields, got {len(row)}") from None
-        # Counts are ASCII decimal digits only, as written: int() alone would
-        # also take " 5", "+1", "1_0" and non-ASCII digits. An empty count
-        # would vanish from the concatenation, so it is tested first.
-        digits = s + d + m + total
-        if not (s and d and m and total and digits.isdigit() and digits.isascii()):
-            bad = next(x for x in (s, d, m, total) if not (x.isascii() and x.isdigit()))
-            raise MalformedLineError(f"row {rownum}: invalid count {bad!r}")
-        try:
-            s, d, m, total = int(s), int(d), int(m), int(total)
-            key = normalize_journal_key(raw_key)
-            tally = JournalTally(s, d, m)
-        except (ValueError, EmptyKeyError) as exc:
-            raise MalformedLineError(f"row {rownum}: {exc}") from None
-        if s + d + m != total:
-            raise MalformedLineError(f"row {rownum}: total {total} != {s + d + m}")
-        if key in table:
-            raise MalformedLineError(f"row {rownum}: duplicate journal {key!r}")
-        table[key] = tally
+    return None

@@ -17,9 +17,10 @@ marshalled frames: lists of at most ``ROWS_PER_CHUNK`` ``(journal,
 supporting, disputing, mentioning)`` rows, then one closing tuple: ``("ok",
 accepted, rejected, first_errors)``, the fields of its ingest report, or
 ``("raised", module, class name, args)``, the exception its fold raised as
-``__reduce__`` takes it apart, which is rebuilt and raised as the first
-range's own. The rows are added into the first range's table in place, and
-the ranges' reports and errors are taken in file order.
+``__reduce__`` takes it apart (an argument ``marshal`` cannot carry goes as
+its ``str``), which is rebuilt and raised as the first range's own. The
+rows are added into the first range's table in place, and the ranges'
+reports and errors are taken in file order.
 """
 
 from __future__ import annotations
@@ -104,7 +105,11 @@ def _work(fold: RangeFold, rng: Range, out: IO[bytes]) -> None:
         table, report = fold(*rng)
     except BaseException as exc:
         cls, args = exc.__reduce__()[:2]
-        _send(("raised", cls.__module__, cls.__qualname__, args), out)
+        raised = ("raised", cls.__module__, cls.__qualname__)
+        try:
+            _send((*raised, args), out)
+        except ValueError:  # marshal refuses an argument; nothing was written
+            _send((*raised, tuple(map(str, args))), out)
         return
     items = iter(table.items())
     while chunk := [(k, *t) for k, t in islice(items, ROWS_PER_CHUNK)]:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import tally_reference
 from conftest import assert_tally_types, make_records, tallies, tally_tables
 
-from citemetric import ingest
+from citemetric import aggregate, ingest
 from citemetric.aggregate import (
     TALLY_HEADER,
     add_counts,
@@ -498,3 +498,55 @@ class TestChunkedRead:
             sys.setprofile(old)
         assert len(table) == n
         assert events < 100 * 40
+
+
+def _row(journal, *counts):
+    return [journal, *map(str, counts)]
+
+
+class TestRowCheck:
+    """``aggregate._add_rows``, the one check of tally data rows: a list of
+    rows that fails names the first check that fails, worded for the first
+    row that fails it, and leaves the table as it was."""
+
+    BIG = 2**64
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([_row("a", 1, 0, 0, 2), _row("b", 1, 0, 0)], "expected 5 fields, got 4"),
+            ([_row("a", 1, 0, 0, 2), _row("b", "x", 0, 0, 1), _row("c", 1, "", 0, 1)], "invalid count 'x'"),
+            ([_row("a", 1, 0, 0, 1), _row("b", 1, "", 0, 1), _row("c", "+1", 0, 0, 1)], "invalid count ''"),
+            (
+                [_row(" ", 1, 0, "9" * 4400, 1), _row("b", "9" * 5000, 0, 0, 1)],
+                "Exceeds the limit (4300 digits) for integer string conversion: value has 4400 digits; "
+                "use sys.set_int_max_str_digits() to increase the limit",
+            ),
+            ([_row("a", 1, 0, BIG, 1), _row(" ", 1, 0, 0, 1)], "journal key is empty after normalization"),
+            (
+                [_row("a", 1, 0, 0, 2), _row("b", 0, BIG, 0, BIG), _row("c", BIG, 0, 0, BIG)],
+                f"disputing count {BIG} outside [0, 2**64 - 1]",
+            ),
+            (
+                [_row("a", 1, 0, 0, 1), _row("A", 1, 0, 0, 1), _row("c", 1, 2, 3, 9), _row("d", 1, 0, 0, 3)],
+                "total 9 != 6",
+            ),
+            ([_row("b", 1, 0, 0, 1), _row("t ", 1, 0, 0, 1), _row("B", 1, 0, 0, 1)], "duplicate journal 't'"),
+            ([_row("b", 1, 0, 0, 1), _row("c", 1, 0, 0, 1), _row(" B", 1, 0, 0, 1)], "duplicate journal 'b'"),
+        ],
+        ids=[
+            "field-count",
+            "count-syntax",
+            "empty-count",
+            "int-digit-limit",
+            "key",
+            "range",
+            "total",
+            "duplicate-of-the-table",
+            "duplicate-within",
+        ],
+    )
+    def test_the_first_check_that_fails_words_its_first_failing_row(self, rows, message):
+        table = {"t": JournalTally(1, 0, 0)}
+        assert aggregate._add_rows(table, rows) == message
+        assert table == {"t": JournalTally(1, 0, 0)}

@@ -5,10 +5,13 @@ import errno
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
+import re
 import runpy
+import shutil
 import signal
 import stat
 import subprocess
@@ -863,6 +866,129 @@ class TestAtomicWrites:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert not reader.is_alive()
         assert received == [b"journal,supporting,disputing,mentioning,total\nalpha,1,1,0,2\nbeta,0,0,1,1\n"]
+
+
+class _TickingFile:
+    """A text file whose ``write`` and ``writelines`` call ``tick`` first."""
+
+    def __init__(self, fh, tick):
+        self._fh, self._tick = fh, tick
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def write(self, text):
+        self._tick()
+        return self._fh.write(text)
+
+    def writelines(self, lines):
+        self._tick()
+        return self._fh.writelines(lines)
+
+
+def _killed_at(k: int, args) -> tuple[int, int]:
+    """Run ``citemetric ARGS`` in a forked child that SIGKILLs itself at its
+    k-th call to an output file's write or writelines or to os.replace;
+    return the child's pid and wait status."""
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        code = 99
+        try:
+            calls = 0
+            real_replace = os.replace
+
+            def tick():
+                nonlocal calls
+                calls += 1
+                if calls == k:
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            def opening(file, mode="r", *rest, **kwargs):
+                fh = open(file, mode, *rest, **kwargs)
+                return _TickingFile(fh, tick) if mode == "x" else fh
+
+            def replace(src, dst):
+                tick()
+                real_replace(src, dst)
+
+            cli.open, os.replace = opening, replace
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = run(args)
+        finally:
+            os._exit(code)
+    return pid, os.waitpid(pid, 0)[1]
+
+
+class TestKillAnywhere:
+    """A run SIGKILLed at any write to an output file or at any rename
+    leaves each destination with its old bytes (or absent, if it was) or its
+    new bytes, and nothing else in its directory but ``.NAME.PID.RANDOM.tmp``
+    files, NAME a destination's and PID the killed run's.
+
+    Each destination is checked on its own. That ``report``'s five artifacts
+    come from one run is not asserted: a kill between two of its renames
+    leaves some artifacts new and the rest old, as the README says, and that
+    window is still open."""
+
+    #: Each command's arguments, with ``in/`` naming a run directory's inputs
+    #: and ``out`` its output directory, and the destinations it writes.
+    COMMANDS = {
+        "synth": (["synth", "--journals", "6", "--seed", "3", "-o", "out/c.jsonl"], ["c.jsonl"]),
+        "aggregate": (["aggregate", "in/c.jsonl", "-o", "out/t.csv"], ["t.csv"]),  # one range: no workers
+        "report": (["report", "in/t.csv", "-o", "out"], list(ARTIFACTS)),
+    }
+    #: Destinations that do not exist before the run.
+    ABSENT = {"t.csv", "si_scatter.csv"}
+
+    @staticmethod
+    def inputs(where: Path) -> None:
+        """Write the corpus ``c.jsonl`` and its tally ``t.csv`` in ``where``."""
+        where.mkdir(parents=True)
+        assert run(["synth", "--journals", "6", "--seed", "1", "-o", str(where / "c.jsonl")]) == EXIT_OK
+        assert run(["aggregate", str(where / "c.jsonl"), "-o", str(where / "t.csv")]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_destination_holds_its_old_or_its_new_bytes(self, tmp_path, command):
+        args, names = self.COMMANDS[command]
+
+        def at(where):
+            return [str(where / arg) if arg.split("/")[0] in ("in", "out") else arg for arg in args]
+
+        before = tmp_path / "before"
+        self.inputs(before / "in")
+        (before / "out").mkdir()
+        old = {name: f"old {name}\n".encode() for name in names if name not in self.ABSENT}
+        for name, body in old.items():
+            (before / "out" / name).write_bytes(body)
+        shutil.copytree(before, tmp_path / "after")
+        assert run(at(tmp_path / "after")) == EXIT_OK
+        new = {p.name: p.read_bytes() for p in (tmp_path / "after" / "out").iterdir()}
+        assert sorted(new) == sorted(names) and all(old.get(name) != new[name] for name in names)
+        leftover = re.compile(r"\.(.+)\.(\d+)\.[0-9a-f]{8}\.tmp")
+
+        for k in itertools.count(1):
+            where = tmp_path / f"kill{k}"
+            shutil.copytree(before, where)
+            pid, status = _killed_at(k, at(where))
+            got = {p.name: p.read_bytes() for p in (where / "out").iterdir()}
+            if not os.WIFSIGNALED(status):
+                break
+            assert os.WTERMSIG(status) == signal.SIGKILL
+            for name in names:
+                assert got.get(name) in (old.get(name), new[name]), (k, name)
+            for name in got.keys() - set(names):
+                match = leftover.fullmatch(name)
+                assert match and match[1] in names and int(match[2]) == pid, (k, name)
+            shutil.rmtree(where)
+        assert os.waitstatus_to_exitcode(status) == EXIT_OK
+        assert got == new
+        assert k > 2 * len(names)  # every destination had a write and a rename to be killed at
 
 
 class TestPipedInput:

@@ -495,6 +495,30 @@ def test_fold_file_raises_what_the_range_raised_in_either_process(tmp_path, name
     assert raised[0][0] is type(FAILURES[name](str(src), line))
 
 
+class _Unmarshallable:
+    """An exception argument that marshal cannot carry."""
+
+    def __str__(self):
+        return "no marshal form"
+
+
+def test_an_argument_marshal_refuses_reads_as_its_str_in_either_process(tmp_path):
+    """A worker sends such an argument as its str, so the fold's exception
+    keeps its class and its message instead of killing the worker."""
+    src = _big_corpus(tmp_path)
+    with split_into(3):
+        line = _second_range_line(src)
+    messages = []
+    for in_worker in (True, False):
+        fails = _fails_at(line, lambda path, n: RuntimeError(_Unmarshallable()), in_worker)
+        fold = partial(fails, str(src), ingest.Format.JSONL, ingest.Policy.STRICT)
+        with split_into(3), pytest.raises(RuntimeError) as info:
+            ranges.fold_file(str(src), fold)
+        messages.append(str(info.value))
+        assert _no_children_left()
+    assert messages == ["no marshal form"] * 2
+
+
 @pytest.mark.parametrize("bad_line", [10, 390])  # in the parent's range, in the last worker's
 def test_strict_error_reaps_every_worker(tmp_path, bad_line):
     src = _big_corpus(tmp_path, bad_line)
