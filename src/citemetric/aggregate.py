@@ -24,7 +24,7 @@ from operator import add, is_, sub
 from typing import IO, Iterable
 
 from .errors import ArithmeticOverflowError, EmptyKeyError, MalformedLineError
-from .ingest import batches, csv_field, csv_row, csv_rows, runs_of
+from .ingest import batches, csv_field, csv_row, csv_rows, lines_of, runs_of
 from .model import (
     U64_MAX,
     CitationClass,
@@ -136,20 +136,21 @@ def read_tally_csv(source: Iterable[str]) -> TallyTable:
 
     Line 1 is read by :func:`.ingest.batches`, as a CSV corpus's is: a BOM
     is dropped before it is parsed, it must then be the header, and an error
-    in it is worded as a corpus's, ``line 1: …``. The other lines are read
-    ahead and parsed in the batches it cuts, and each batch is checked by
-    :func:`_add_rows`. A batch that fails is read again line by line:
+    in it is worded as a corpus's, ``line 1: …``. The other lines are parsed
+    in the blocks it cuts (a file's as :func:`.ingest.read_lines` decoded
+    them), and each block is checked by :func:`_add_rows`. A block that
+    fails is read again line by line:
     :func:`.ingest.csv_row` words a line's CSV error, ``line N: …``, and
     the same :func:`_add_rows` words its row's, ``row N: …``, so the error
     is that of a line-at-a-time read. A line that holds U+0000 is refused,
     ``line N: invalid CSV: line contains NUL``, on every Python.
     """
     table: TallyTable = {}
-    for lineno, batch in batches(source, TALLY_HEADER):
-        rows = csv_rows(batch)
+    for lineno, block in batches(source, TALLY_HEADER):
+        rows = csv_rows(block)
         if rows is not None and _add_rows(table, rows) is None:
             continue
-        for rownum, line in enumerate(batch, start=lineno):
+        for rownum, line in enumerate(lines_of(block), start=lineno):
             try:
                 row = csv_row(line)
             except MalformedLineError as exc:

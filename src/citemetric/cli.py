@@ -42,7 +42,7 @@ from .aggregate import (
     write_tally_csv,
 )
 from .errors import CitemetricError, InvalidParamsError, MalformedLineError
-from .ingest import CSV_HEADER, Format, IngestReport, Policy, format_record, ingest_stream, read_lines
+from .ingest import CSV_HEADER, Format, IngestReport, Lines, Policy, format_record, ingest_stream, read_lines
 from .metrics import build_metrics_table, write_metrics_csv
 from .model import MetricsConfig
 from .stats import (
@@ -173,7 +173,8 @@ def _fold_range(
     earlier line fails first.
     """
     lines = read_lines(path, start, length)
-    lines = chain((",".join(CSV_HEADER),), lines) if start and fmt is Format.CSV else lines
+    if start and fmt is Format.CSV:
+        lines = Lines(chain(([",".join(CSV_HEADER)],), lines.blocks))
     records, report = ingest_stream(lines, fmt, policy)
     return aggregate_corpus(records), report
 

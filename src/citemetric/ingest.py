@@ -6,23 +6,27 @@ keys, ``citing_id`` optional). Files must be UTF-8; a BOM on the first line
 is dropped before the line is parsed. A line ends at ``\n`` and only there;
 CRs just before it are dropped, and any other CR is data. Because parsing is
 line-by-line, fields may not contain a ``\n``, and no line may hold more
-than ``MAX_LINE_BYTES`` bytes. The parser hands out runs, one per batch of
-lines, each the columns of the batch's accepted records;
+than ``MAX_LINE_BYTES`` bytes. The parser hands out runs, one per block of
+lines, each the columns of the block's accepted records;
 :class:`RecordStream` turns them into records and :func:`runs_of` turns
 records back into runs, so the fold never sees which it was given. The
 package's one CSV quoting rule, one read-ahead loop and one CSV line reader
-live here too. A corpus and a tally CSV are both cut into numbered batches
-by :func:`batches`, the one reader of line 1 (its BOM, its header and their
-errors), then read a batch at a time by :func:`csv_rows`, one row per line,
-and a refused batch one line at a time by :func:`csv_row`, the one place a
-CSV line's error, U+0000 included, is worded.
+live here too. :func:`read_lines` reads a file in decoded blocks of whole
+lines, and a corpus and a tally CSV are both cut into numbered blocks by
+:func:`batches`, the one reader of line 1 (its BOM, its header and their
+errors). A block reaches its column parser whole, no ``str`` made per line:
+a JSONL block as one JSON array, a CSV block through one ``csv.reader``
+(:func:`csv_rows`). A refused corpus block is read again in halves, down
+to lines on their own, which :func:`_fields` splits; a refused tally block
+is read a line at a time. :func:`csv_row` is the one place a CSV line's
+error, U+0000 included, is worded.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -50,8 +54,9 @@ MAX_LINE_BYTES = 1 << 20
 #: to its last newline.
 _BLOCK_BYTES = 1 << 14
 
-#: Lines batches reads ahead, for ingest_stream and read_tally_csv to parse
-#: together, and records runs_of reads into one run.
+#: Lines batches reads ahead from a line iterable other than read_lines's,
+#: for ingest_stream and read_tally_csv to parse together, and records
+#: runs_of reads into one run.
 _BATCH_LINES = 256
 
 
@@ -66,6 +71,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 _decode_json = json.JSONDecoder().decode
 _decode_json_unique = json.JSONDecoder(object_pairs_hook=_unique_keys).decode
+#: A ``\n`` that no ``{`` follows: a JSONL line that does not start with
+#: one. Searching for it costs half what counting ``\n{`` does.
+_BARE_LINE_END = re.compile(r"\n(?!\{)").search
 
 
 def csv_field(text: str) -> str:
@@ -132,14 +140,47 @@ class IngestReport:
         self.rejected += later.rejected
 
 
-def read_lines(path: str, start: int = 0, length: int | None = None) -> Iterator[str]:
-    """Yield the lines, ends included, of ``length`` bytes of ``path`` from
+#: A block of lines. As a file is read: ``(text, n)``, its ``n`` lines,
+#: each ended by a ``\n`` in the file, joined by those ``\n`` (the last left
+#: out). As any other line iterable is read, and for a file's last line if
+#: it lacks its ``\n``: a list of lines, one line an item, its end optional.
+Block = tuple[str, int] | list[str]
+
+
+class Lines:
+    """The lines of a file, or of a byte range of one, as :func:`read_lines`
+    reads them: its decoded blocks.
+
+    Iterating it, and ``next()`` on it, read one C-level chain of the
+    blocks' lines, ends included, built on first iteration. Until then
+    :func:`batches` hands over the blocks themselves, so no ``str`` is made
+    per line.
+    """
+
+    __slots__ = ("blocks", "_lines")
+
+    def __init__(self, blocks: Iterable[Block]) -> None:
+        self.blocks = iter(blocks)
+        self._lines: Iterator[str] | None = None
+
+    def __iter__(self) -> Iterator[str]:
+        if self._lines is None:
+            self._lines = chain.from_iterable(map(lines_of, self.blocks))
+        return self._lines
+
+    def __next__(self) -> str:
+        return next(self._lines or iter(self))
+
+
+def read_lines(path: str, start: int = 0, length: int | None = None) -> Lines:
+    """The lines, ends included, of ``length`` bytes of ``path`` from
     ``start`` (to EOF if None): for a whole file, those text-mode
     ``open(path, encoding="utf-8", newline="\\n")`` yields. A line ends at
     ``\\n`` only, untranslated, as the cap and ``ranges.plan_ranges`` count
     lines; a CR is data. The bytes are read once, pipes included, in blocks
-    cut after their last ``\\n`` (no character is split), and no Python
-    frame runs per line.
+    of ``_BLOCK_BYTES`` cut at their last ``\\n`` (no character is split),
+    each decoded whole and its lines counted once; no Python frame runs per
+    line.
 
     Raises:
         MalformedLineError: invalid UTF-8, named at its offset in the file,
@@ -148,12 +189,12 @@ def read_lines(path: str, start: int = 0, length: int | None = None) -> Iterator
             ``\\n``, named at the offset it starts at, after the lines
             before it are yielded.
     """
-    return chain.from_iterable(_blocks(path, start, length))
+    return Lines(_blocks(path, start, length))
 
 
-def _blocks(path: str, start: int, length: int | None) -> Iterator[Iterator[str]]:
-    """The lines of :func:`read_lines`, one iterator per block of whole
-    ``\\n``-terminated lines (the last may lack its ``\\n``)."""
+def _blocks(path: str, start: int, length: int | None) -> Iterator[Block]:
+    """The blocks of :func:`read_lines`: one ``(text, n)`` per block read
+    that holds a ``\\n``, then the last line, if it lacks its ``\\n``."""
     with open(path, "rb", buffering=0) as fh:
         if start:
             fh.seek(start)
@@ -165,28 +206,50 @@ def _blocks(path: str, start: int, length: int | None) -> Iterator[Iterator[str]
             # so only the line head starts can pass the cap.
             if held + (block.find(b"\n") + 1 or len(block)) > MAX_LINE_BYTES:
                 raise MalformedLineError(f"line too long: the line at byte {offset} holds more than {MAX_LINE_BYTES} bytes")
-            cut = block.rfind(b"\n") + 1
-            if cut:
+            cut = block.rfind(b"\n")
+            if cut >= 0:
                 data = b"".join((*head, block[:cut]))
                 yield from _decode(data, offset)
-                offset, head, held, block = offset + len(data), [], 0, block[cut:]
+                offset, head, held, block = offset + len(data) + 1, [], 0, block[cut + 1 :]
             head.append(block)
             held += len(block)
-        yield from _decode(b"".join(head), offset)
+        if held:  # the last line, which lacks its \n
+            for text, _ in _decode(b"".join(head), offset):
+                yield [text]
 
 
-def _decode(data: bytes, offset: int) -> Iterator[Iterator[str]]:
-    """The lines of ``data``, which starts at byte ``offset`` of its file, in StringIOs."""
+def _decode(data: bytes, offset: int) -> Iterator[tuple[str, int]]:
+    """The block of ``data``, lines joined by ``\\n`` that start at byte
+    ``offset`` of the file: the lines before the first invalid UTF-8, if
+    there is any, and then its error."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        good = data[: data.rfind(b"\n", 0, exc.start) + 1]
-        yield io.StringIO(good.decode("utf-8"), newline="\n")
+        end = data.rfind(b"\n", 0, exc.start)
+        if end >= 0:
+            yield from _decode(data[:end], offset)
         first, last = offset + exc.start, offset + exc.end - 1
         one = f"byte 0x{data[exc.start]:02x} in position {first}"
         where = one if first == last else f"bytes in position {first}-{last}"
         raise MalformedLineError(f"invalid UTF-8: 'utf-8' codec can't decode {where}: {exc.reason}") from None
-    yield io.StringIO(text, newline="\n")
+    yield text, text.count("\n") + 1
+
+
+def lines_of(block: Block) -> list[str]:
+    """The lines of ``block``, each with the end it has."""
+    if isinstance(block, list):
+        return block
+    return [line + "\n" for line in block[0].split("\n")]
+
+
+def _text(block: Block) -> tuple[str, int] | None:
+    """``block`` as ``(text, n)``: its ``n`` lines, each without its
+    ``\\n``, joined by ``\\n``; None when a listed line holds a ``\\n``
+    before its end, so the text could not tell it from two."""
+    if isinstance(block, tuple):
+        return block
+    text = "\n".join(map(str.removesuffix, block, repeat("\n")))
+    return (text, len(block)) if text.count("\n") == len(block) - 1 else None
 
 
 def csv_row(line: str) -> list[str]:
@@ -209,38 +272,64 @@ def csv_row(line: str) -> list[str]:
         raise MalformedLineError(f"invalid CSV: {str(exc).partition(' - ')[0]}") from None
 
 
-def csv_rows(lines: list[str]) -> list[list[str]] | None:
-    """The rows of the CSV ``lines``, one per line, read by one
-    ``csv.reader``; None when a line holds U+0000, ``csv`` fails on a line,
-    or a quoted field runs on into the next line. Each line of a refused
-    batch is then read on its own by :func:`csv_row`, which words its error."""
-    if "\0" in "".join(lines):
+def csv_rows(block: Block) -> list[list[str]] | None:
+    """The rows of the CSV ``block``, one per line, read by one
+    ``csv.reader`` over its text split at each ``\\n``; None when a line
+    holds U+0000, ``csv`` fails on a line, or a quoted field is still open
+    at a line's end. Each line of a refused block is then read on its own
+    by :func:`csv_row`, which words its error.
+
+    A CR before a line's ``\\n`` only ends its row, as it does once the
+    line is stripped of it, so CRs are left in. An empty line after the
+    last takes up a quoted field still open there, which would otherwise
+    read as closed without its line end."""
+    body = _text(block)
+    if body is None or "\0" in body[0]:
         return None
+    lines = body[0].split("\n")
+    lines.append("")
     try:
         rows = list(csv.reader(lines))
     except csv.Error:
         return None
-    return rows if len(rows) == len(lines) else None
+    if len(rows) != len(lines):
+        return None
+    rows.pop()
+    return rows
 
 
-def batches(source: Iterable[str], header: tuple[str, ...] | None) -> Iterator[tuple[int, list[str]]]:
-    """The lines of ``source`` read ahead in non-empty lists of
-    ``_BATCH_LINES`` or fewer, each with the 1-based number of its first
-    line; the one reader of line 1 of a corpus or a tally. A BOM is dropped
-    from line 1. Unless ``header`` is None, line 1 must be that CSV header,
-    and is not handed out.
+def batches(source: Iterable[str], header: tuple[str, ...] | None) -> Iterator[tuple[int, Block]]:
+    """The blocks of ``source``, each with the 1-based number of its first
+    line; the one reader of line 1 of a corpus or a tally, and the one
+    place blocks are cut and numbered. A :class:`Lines` never iterated
+    hands over the blocks it read; any other iterable of lines is read ahead
+    in lists of ``_BATCH_LINES`` or fewer. A BOM is dropped from line 1.
+    Unless ``header`` is None, line 1 must be that CSV header, and is not
+    handed out. No block handed out is empty.
 
     Raises:
         MalformedLineError: ``line 1:`` a missing header, an invalid CSV
             line 1, or one that is not ``header``.
     """
-    lines = iter(source)
-    head = [line.removeprefix("\ufeff") for line in islice(lines, 1)]  # line 1, if there is one
+    if isinstance(source, Lines) and source._lines is None:
+        blocks: Iterator[Block] = source.blocks
+    else:
+        blocks = filter(None, read_ahead(source, _BATCH_LINES))
+    first = next(blocks, None)
+    if isinstance(first, tuple):
+        first = (first[0].removeprefix("\ufeff"), first[1])
+    elif first is not None:
+        first[0] = first[0].removeprefix("\ufeff")
     lineno = 1
     if header is not None:
-        if not head:
+        if first is None:
             raise MalformedLineError("line 1: missing CSV header")
-        line = head.pop().rstrip("\r\n")
+        if isinstance(first, tuple):
+            line, _, rest = first[0].partition("\n")
+            first = (rest, first[1] - 1) if first[1] > 1 else None
+        else:
+            line, first = first[0], first[1:]
+        line = line.rstrip("\r\n")
         try:
             fields = tuple(csv_row(line))
         except MalformedLineError as exc:
@@ -248,9 +337,9 @@ def batches(source: Iterable[str], header: tuple[str, ...] | None) -> Iterator[t
         if fields != header:
             raise MalformedLineError(f"line 1: expected CSV header {','.join(header)!r}, got {line!r}")
         lineno = 2
-    for batch in filter(None, read_ahead(chain(head, lines), _BATCH_LINES)):
-        yield lineno, batch
-        lineno += len(batch)
+    for block in filter(None, chain((first,), blocks)):
+        yield lineno, block
+        lineno += block[1] if isinstance(block, tuple) else len(block)
 
 
 def _fields(line: str, fmt: Format) -> tuple[str, str, str]:
@@ -322,12 +411,12 @@ def _key_of(journal: str) -> str:
 _NO_ROW = ("", "", "")
 
 
-def _csv_columns(lines: list[str]) -> tuple[tuple[str, ...], ...] | None:
-    """The ``(citing_id, journal, class)`` columns of the CSV ``lines``; None
-    when :func:`csv_rows` refuses them. A row of the wrong length is replaced
-    in place by ``_NO_ROW``, so the batch is never rebuilt and only such a
-    row costs a Python step."""
-    rows = csv_rows(lines)
+def _csv_columns(block: Block) -> tuple[tuple[str, ...], ...] | None:
+    """The ``(citing_id, journal, class)`` columns of the CSV ``block``;
+    None when :func:`csv_rows` refuses it. A row of the wrong length is
+    replaced in place by ``_NO_ROW``, so the block is never rebuilt and
+    only such a row costs a Python step."""
+    rows = csv_rows(block)
     if rows is None:
         return None
     for i in compress(count(), map(ne, map(len, rows), repeat(len(CSV_HEADER)))):
@@ -335,50 +424,64 @@ def _csv_columns(lines: list[str]) -> tuple[tuple[str, ...], ...] | None:
     return tuple(zip(*rows))
 
 
-def _jsonl_columns(lines: list[str]) -> tuple[list[str], list[str], list[str]] | None:
-    """The ``(citing_id, journal, class)`` columns of the JSONL ``lines``,
-    decoded as one JSON array; None unless :func:`_fields` would accept each
-    line with the same values.
+def _jsonl_columns(block: Block) -> tuple[list[str], list[str], list[str]] | None:
+    """The ``(citing_id, journal, class)`` columns of the JSONL ``block``,
+    its text decoded as one JSON array, each ``\\n`` a ``,``; None unless
+    :func:`_fields` would accept each line with the same values.
 
     Each line must start with the only ``{`` it holds, and the array must
     have as many elements as there are lines, each an object. Then no object
     nests or spans lines, so each line is exactly one object and what the
-    separators add is whitespace. Every key-value pair has a ``:``, so as
-    many ``:`` as kept keys, summed, means no object repeats a key; only a
-    batch with more, say a ``:`` in a value, is decoded again to check.
+    separators add is whitespace (a CR before a ``\\n`` included). Every
+    key-value pair has a ``:``, so when the ``:`` beyond the kept keys,
+    summed, are all in the kept values, and none is spelled ``\\u003a``,
+    no object repeats a key; any other block is decoded again to check.
     """
-    text = ",".join(lines)
-    if text.count("{") != len(lines) or not all(map(str.startswith, lines, repeat("{"))):
+    body = _text(block)
+    if body is None:
         return None
+    text, n = body
+    if text.count("{") != n or not text.startswith("{") or _BARE_LINE_END(text):
+        return None
+    array = "[" + text.replace("\n", ",") + "]"
     try:
-        objs = _decode_json(f"[{text}]")
+        objs = _decode_json(array)
     except (ValueError, RecursionError):
         return None
-    if len(objs) != len(lines) or not all(map(isinstance, objs, repeat(dict))):
+    if len(objs) != n:
         return None
-    if text.count(":") != sum(map(len, objs)):
-        try:
-            _decode_json_unique(f"[{text}]")
-        except MalformedLineError:
-            return None
     try:
+        ids = list(map(dict.get, objs, repeat("citing_id"), repeat("")))  # a TypeError unless each is an object
         journals = list(map(itemgetter("journal"), objs))
         labels = list(map(itemgetter("class"), objs))
-    except KeyError:
+        values = list(map("".join, (ids, journals, labels)))  # a TypeError unless each is a string
+    except (KeyError, TypeError):
         return None
-    ids = list(map(dict.get, objs, repeat("citing_id"), repeat("")))
-    if not all(map(isinstance, chain(ids, journals, labels), repeat(str))):
-        return None
+    # No escaped colon: each decoded ':' of a kept value is a literal ':' of
+    # a token of its own, so the pairs number no more than the kept keys.
+    extra = text.count(":") - sum(map(len, objs))
+    if extra and (extra != sum(map(str.count, values, repeat(":"))) or "\\u003a" in text or "\\u003A" in text):
+        try:
+            _decode_json_unique(array)
+        except MalformedLineError:
+            return None
     return ids, journals, labels
 
 
 _COLUMNS = {Format.CSV: _csv_columns, Format.JSONL: _jsonl_columns}
 
 
+def _stripped_lines(block: Block) -> list[str]:
+    """The lines of ``block``, each without its ``\\n`` and the CRs before it."""
+    if isinstance(block, tuple):
+        return list(map(str.rstrip, block[0].split("\n"), repeat("\r")))
+    return list(map(str.rstrip, block, repeat("\r\n")))
+
+
 def _lookup(cache: dict, raws, resolve) -> list:
     """``cache[raw]`` for each of ``raws``, None where ``resolve`` fails.
-    Each raw value missing from the cache is resolved once, and kept only if
-    that succeeds."""
+    Each raw value missing from the cache is resolved once, and kept, as
+    None if that fails."""
     try:
         return list(map(cache.__getitem__, raws))
     except KeyError:
@@ -387,8 +490,8 @@ def _lookup(cache: dict, raws, resolve) -> list:
         try:
             cache[raw] = resolve(raw)
         except CitemetricError:
-            pass
-    return list(map(cache.get, raws))
+            cache[raw] = None
+    return list(map(cache.__getitem__, raws))
 
 
 def parse_record(line: str, fmt: Format) -> CitationRecord:
@@ -506,13 +609,16 @@ def ingest_stream(
     fully consumed.
 
     Each item of ``source`` is one line; the ``\\n`` and any CRs at its end
-    are dropped. Lines are read ahead from ``source`` by :func:`batches`,
-    which reads line 1, in batches of a few hundred. A batch the column
-    parser refuses is split one line at a time instead, a malformed line
-    standing in as ``_NO_ROW``. Each batch then hands out one run: the
-    ``(citing_ids, keys, classes)`` columns of its accepted lines, a
-    ``compress`` mask dropping the others (under STRICT, every line from the
-    first bad one on). Each bad line is parsed again by
+    are dropped. :func:`batches` reads line 1 and cuts ``source`` into
+    blocks: a :class:`Lines` from :func:`read_lines` hands over its decoded
+    blocks, so a clean block reaches the column parser with no ``str`` made
+    per line; any other iterable is read ahead a few hundred lines at a
+    time. A block the column parser refuses is read again in halves, each
+    refused half in turn, down to lines on their own, which ``_fields``
+    splits, a malformed line standing in as ``_NO_ROW``. Each block then
+    hands out one run: the ``(citing_ids, keys, classes)`` columns of its
+    accepted lines, a ``compress`` mask dropping the others (under STRICT,
+    every line from the first bad one on). Each bad line is parsed again by
     :func:`parse_record`, only to word its error. The :class:`RecordStream`
     builds records from the runs once it is iterated; until then
     ``aggregate_corpus`` counts the runs themselves. Errors still surface in
@@ -522,11 +628,11 @@ def ingest_stream(
     on gets no more records.
     """
     report = IngestReport()
-    # Per-stream caches of successful lookups only: a failing label or
-    # journal raises again on every line that carries it, so error counts
-    # and line numbers match a plain per-line parse_record.
-    classes: dict[str, CitationClass] = {}
-    keys: dict[str, str] = {}
+    # Per-stream caches of lookups, a failed one kept as None: reject words
+    # each line that carries it through parse_record, so error counts and
+    # line numbers match a plain per-line parse_record.
+    classes: dict[str, CitationClass | None] = {}
+    keys: dict[str, str | None] = {}
     columns = _COLUMNS.get(fmt)
 
     def row(line: str) -> tuple[str, str, str]:
@@ -535,8 +641,19 @@ def ingest_stream(
         except MalformedLineError:
             return _NO_ROW
 
+    def split(lines: list[str]) -> Sequence[Sequence[str]]:
+        """The columns of ``lines``, which the column parser refused: those
+        of each half, the column parser's or, where it refuses the half too,
+        split in turn; a line on its own is split by ``_fields``. A few bad
+        lines thus cost a few parses of their block, not one per line."""
+        if len(lines) == 1:
+            return [[field] for field in row(lines[0])]
+        half = len(lines) // 2
+        parts = ((columns and columns(part)) or split(part) for part in (lines[:half], lines[half:]))
+        return [[*head, *tail] for head, tail in zip(*parts)]
+
     def reject(line: str, lineno: int) -> None:
-        """Count ``line``, line ``lineno``, which its batch's lookups refused,
+        """Count ``line``, line ``lineno``, which its block's lookups refused,
         wording its error through parse_record, which fails on the same
         fields; raise it under STRICT."""
         try:
@@ -549,18 +666,18 @@ def ingest_stream(
                 raise type(exc)(f"line {lineno}: {exc}") from None
 
     def runs() -> Iterator[Run]:
-        """One run per batch, of its accepted rows, then each refused line
-        of the batch to ``reject``; under STRICT the run stops before the
+        """One run per block, of its accepted rows, then each refused line
+        of the block to ``reject``; under STRICT the run stops before the
         first refused line."""
-        for lineno, batch in batches(source, CSV_HEADER if fmt is Format.CSV else None):
-            lines = list(map(str.rstrip, batch, repeat("\r\n")))
-            # A batch the column parser refuses is split one line at a time.
-            ids, journals, labels = columns and columns(lines) or zip(*map(row, lines))
+        for lineno, block in batches(source, CSV_HEADER if fmt is Format.CSV else None):
+            parsed = columns(block) if columns else None
+            lines = None if parsed else _stripped_lines(block)
+            ids, journals, labels = parsed or split(lines)
             klasses = _lookup(classes, labels, _class_of)
             found = _lookup(keys, journals, _key_of)
-            kept = ()  # a clean batch builds no mask
-            if None in found or None in klasses:
-                kept = list(map(all, zip(found, klasses)))  # keys are non-empty, classes truthy
+            kept = ()  # a clean block builds no mask
+            if not (all(found) and all(klasses)):  # keys are non-empty, classes truthy
+                kept = list(map(all, zip(found, klasses)))
                 if policy is Policy.STRICT:
                     del kept[kept.index(False) + 1 :]
                 ids, found, klasses = (list(compress(column, kept)) for column in (ids, found, klasses))
@@ -568,6 +685,7 @@ def ingest_stream(
                 report.accepted += len(ids)
                 yield ids, found, klasses
             for i in compress(count(), map(not_, kept)):
+                lines = lines or _stripped_lines(block)
                 reject(lines[i], lineno + i)
 
     return RecordStream(runs()), report

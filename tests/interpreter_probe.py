@@ -20,12 +20,25 @@ import sys
 from pathlib import Path
 
 from citemetric.cli import run
+from citemetric.ingest import _BLOCK_BYTES
 
 BOM = "\ufeff".encode()
 HEADER = b"citing_id,journal,class\n"
 TALLY_HEADER = b"journal,supporting,disputing,mentioning,total\n"
 GOOD_JSONL = b'{"citing_id":"w1","journal":"Alpha","class":"supporting"}\n'
 GOOD_CSV = b"w2,Beta,disputing\n"
+#: Copies of a good line that fill more than one block read, so one line
+#: straddles the cut between the first two reads.
+JSONL_BLOCK = GOOD_JSONL * (_BLOCK_BYTES // len(GOOD_JSONL) + 2)
+CSV_BLOCK = GOOD_CSV * (_BLOCK_BYTES // len(GOOD_CSV) + 2)
+
+
+def _cr_at_cut(head: bytes, start: bytes, end: bytes) -> bytes:
+    """``head``, then a CRLF-ended line ``start``, padding, ``end`` whose
+    CR is the last byte of the first block read and whose LF is the first
+    of the next."""
+    return head + start + b"p" * (_BLOCK_BYTES - 1 - len(head) - len(start) - len(end)) + end + b"\r\n"
+
 
 #: Corpus name -> bytes. Each is aggregated in both formats under both policies.
 CORPORA = {
@@ -45,6 +58,14 @@ CORPORA = {
     "dirty-jsonl": GOOD_JSONL + b"garbage\n" + b'{"journal":" ","class":"supporting"}\n'
     + b'{"journal":"x","class":"contrasting"}\n' + b"\n" + GOOD_JSONL,
     "dirty-csv": HEADER + b"a,b\n" + b"w6, \t ,supporting\n" + b"w7,x,contrasting\n" + GOOD_CSV,
+    "straddle-jsonl": JSONL_BLOCK + b"garbage\n" + GOOD_JSONL,
+    "straddle-csv": HEADER + CSV_BLOCK + b"a,b\n" + GOOD_CSV,
+    "cr-at-cut-jsonl": _cr_at_cut(b"", b'{"journal":"', b'","class":"supporting"}') + GOOD_JSONL * 3,
+    "cr-at-cut-csv": _cr_at_cut(HEADER, b"w8,", b",supporting") + GOOD_CSV * 3,
+    "bad-utf8-later-block-jsonl": JSONL_BLOCK + b'{"journal":"\xff","class":"supporting"}\n' + GOOD_JSONL,
+    "bad-utf8-later-block-csv": HEADER + CSV_BLOCK + b"w4,\xc3\x28,supporting\n" + GOOD_CSV,
+    "bom-blocks-jsonl": BOM + JSONL_BLOCK,
+    "bom-header-blocks-csv": BOM + HEADER + CSV_BLOCK,
 }
 
 #: Tally name -> bytes, each read by ``report``.
@@ -54,6 +75,9 @@ TALLIES = {
     "bad-utf8": TALLY_HEADER + b"\xff,1,0,0,1\n",
     "cr-ended": (TALLY_HEADER + b"alpha,150,50,0,200\n").replace(b"\n", b"\r"),
     "cr-quotes": TALLY_HEADER + b'"a ""q"" \r b",150,50,0,200\n' + b"beta,120,2,30,152\n",
+    "bom-blocks": BOM + TALLY_HEADER
+    + b"".join(b"j%05d,%d,%d,%d,%d\n" % (i, 100 + i, i % 7, i % 3, 100 + i + i % 7 + i % 3) for i in range(1000)),
+    "bad-utf8-later-block": TALLY_HEADER + b"".join(b"j%05d,1,0,0,1\n" % i for i in range(1000)) + b"\xff,1,0,0,1\n",
 }
 
 REPORT_ARTIFACTS = ("metrics.csv", "summary.json", "correlations.json", "si_histogram.csv", "si_scatter.csv")

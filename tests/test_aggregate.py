@@ -2,9 +2,10 @@ import csv
 import io
 import sys
 from functools import reduce
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tally_reference
@@ -498,6 +499,36 @@ class TestChunkedRead:
             sys.setprofile(old)
         assert len(table) == n
         assert events < 100 * 40
+
+    @given(
+        st.integers(0, 40),
+        st.dictionaries(st.integers(0, 40), st.sampled_from(sorted(set(TALLY_ROWS) - {"source"})), max_size=4),
+        st.sampled_from(["\n", "\r\n"]),
+        st.booleans(),
+        st.booleans(),
+        st.one_of(st.integers(1, 7), st.just(ingest._BLOCK_BYTES)),
+    )
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_file_read_in_blocks_reads_as_its_lines(self, tmp_path, rows, placed, end, bom, last_end, block):
+        """A tally file read by ``read_lines``, in blocks of any size, gives
+        the table or the error its lines give as a list."""
+        text = "".join(tally_lines(rows, placed)).replace("\n", end)
+        text = ("\ufeff" if bom else "") + (text if last_end else text.removesuffix(end))
+        path = tmp_path / "tally.csv"
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            lines = list(fh)
+
+        def outcome(read, source):
+            try:
+                return read(source), None
+            except MalformedLineError as exc:
+                return None, str(exc)
+
+        want = outcome(tally_reference.read_tally_csv, lines)
+        assert outcome(read_tally_csv, lines) == want
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+            assert outcome(read_tally_csv, ingest.read_lines(str(path))) == want
 
 
 def _row(journal, *counts):

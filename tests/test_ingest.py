@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import BOM, LINE_KINDS, csv_text, csv_writer_text, dirty_line, journal_keys, lines_and_error
 
-from citemetric import ingest
+from citemetric import cli, ingest
 from citemetric.aggregate import add_record, aggregate_corpus
 from citemetric.errors import CitemetricError, EmptyKeyError, MalformedLineError, UnknownClassError
 from citemetric.ingest import (
@@ -754,3 +754,167 @@ def test_read_lines_takes_a_line_of_exactly_the_cap(tmp_path, ending):
     path.write_bytes(f"a\n{line}y{ending}b\n".encode())
     error = f"line too long: the line at byte 2 holds more than {ingest.MAX_LINE_BYTES} bytes"
     assert lines_and_error(read_lines(str(path))) == (["a\n"], error)
+
+
+# --- blocks read from a file ---------------------------------------------------
+
+
+def stream_outcome(records, report):
+    """What ``per_line_reference`` returns, read off a stream and its report."""
+    got, error = [], None
+    try:
+        got.extend(records)
+    except CitemetricError as exc:
+        error = type(exc), str(exc)
+    return got, (report.accepted, report.rejected, report.first_errors), error
+
+
+@pytest.mark.parametrize("fmt", list(Format))
+@pytest.mark.parametrize("policy", list(Policy))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_file_read_in_blocks_equals_the_per_line_reference(tmp_path, fmt, policy, data):
+    """The lines of a file, as text-mode ``open`` reads them, parsed one at
+    a time, against the file read by ``read_lines`` in blocks of any size:
+    the whole file, and a later range of it as ``cli._fold_range`` reads it,
+    behind a copy of the header in CSV."""
+    lines = data.draw(_dirty_streams(fmt), label="lines")
+    block = data.draw(_block_sizes, label="block")
+    path = tmp_path / "corpus"
+    path.write_bytes("".join(lines).encode())
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        file_lines = list(fh)
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        got = stream_outcome(*ingest_stream(read_lines(str(path)), fmt, policy))
+        assert got == per_line_reference(file_lines, fmt, policy)
+        if len(file_lines) < 2:
+            return
+        first = data.draw(st.integers(1, len(file_lines) - 1), label="first line of the range")
+        start = len("".join(file_lines[:first]).encode())
+        listed = ([_HEADER] if fmt is Format.CSV else []) + file_lines[first:]
+        want, want_report, want_error = per_line_reference(listed, fmt, policy)
+        seen = []
+
+        def listing_ingest_stream(source, fmt, policy):
+            seen.append(list(source))  # as the traced benchmark lists it
+            return ingest_stream(iter(seen[-1]), fmt, policy)
+
+        for parse in (ingest_stream, listing_ingest_stream):
+            with mock.patch.object(cli, "ingest_stream", parse):
+                try:
+                    table, report = cli._fold_range(str(path), fmt, policy, start, None)
+                except CitemetricError as exc:
+                    assert (type(exc), str(exc)) == want_error
+                else:
+                    assert want_error is None
+                    assert table == reduce(add_record, want, {})
+                    assert (report.accepted, report.rejected, report.first_errors) == want_report
+        assert seen == [listed]
+
+
+
+@pytest.mark.parametrize("block", [1, 5, ingest._BLOCK_BYTES])
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize(
+    "fmt, data",
+    [
+        (Format.JSONL, BOM),
+        (Format.JSONL, BOM + "\n"),
+        (Format.JSONL, f"{BOM}\n{_J}"),
+        # A refused block's lines lose their CRs before they are parsed.
+        (Format.JSONL, f'{_J}\r\n{{"journal":"a\r\n{_J}\r\ngarbage\r\n{_J}'),
+        (Format.CSV, BOM),
+        (Format.CSV, f"{BOM}{_HEADER}\r\n"),
+        (Format.CSV, f'{_HEADER}\r\nw1,Nature,"supporting\r\nw2,Nature,supporting\r\nw3,x,"supporting\r\n'),
+    ],
+    ids=["bom", "bom-line", "bom-line-then-more", "jsonl-crlf-refused", "csv-bom", "csv-bom-header", "csv-crlf-refused"],
+)
+def test_a_file_read_in_blocks_pinned_cases(tmp_path, fmt, data, policy, block):
+    path = tmp_path / "corpus"
+    path.write_bytes(data.encode())
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        file_lines = list(fh)
+    with mock.patch.object(ingest, "_BLOCK_BYTES", block):
+        got = stream_outcome(*ingest_stream(read_lines(str(path)), fmt, policy))
+    if fmt is Format.CSV and not file_lines[0].removeprefix(BOM).startswith(_HEADER):
+        assert got[2] == (MalformedLineError, "line 1: expected CSV header 'citing_id,journal,class', got ''")
+    else:
+        assert got == per_line_reference(file_lines, fmt, policy)
+
+def test_a_clean_file_block_is_decoded_whole(tmp_path):
+    """Each block of whole lines reaches the JSON decoder as one array; the
+    file's last line, which lacks its newline, comes on its own."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f"{_J}\n" * 1000 + _J, encoding="utf-8")
+    decoded = []
+    decode = ingest._decode_json
+    with mock.patch.object(ingest, "_decode_json", lambda text: decoded.append(text) or decode(text)):
+        records, report = ingest_stream(read_lines(str(path)), Format.JSONL)
+        assert len(list(records)) == report.accepted == 1001
+    assert len(decoded) == -(-path.stat().st_size // ingest._BLOCK_BYTES) + 1
+    assert all(text.startswith(f"[{_J},{_J},") for text in decoded[:-1])
+    assert decoded[-1] == f"[{_J}]"
+
+
+@pytest.mark.parametrize("fmt, bad", [(Format.JSONL, "garbage"), (Format.CSV, 'w,"Nature,supporting')])
+def test_a_refused_block_is_read_again_in_halves(fmt, bad):
+    """One line the column parser refuses costs ``_fields`` two calls, to
+    split it and to word its error, not one per line of its block."""
+    good = _J if fmt is Format.JSONL else "w1,Nature,supporting"
+    lines = [good] * ingest._BATCH_LINES
+    lines[100] = bad
+    source = [_HEADER, *lines] if fmt is Format.CSV else lines
+    assert ingest._COLUMNS[fmt](lines) is None
+    calls = []
+    fields = ingest._fields
+    with mock.patch.object(ingest, "_fields", lambda line, fmt: calls.append(line) or fields(line, fmt)):
+        got = stream_outcome(*ingest_stream(source, fmt, Policy.SKIP))
+    assert calls == [bad, bad]
+    assert got == per_line_reference(source, fmt, Policy.SKIP)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        r'{"journal":"a","journal":"b\u003a","class":"supporting"}',
+        r'{"journal":"a","journal":"b\u003A","class":"supporting"}',
+        '{"journal":"a:","journal":"b","class":"supporting"}',
+        '{"citing_id":"doi:1","journal":"a","journal":"b","class":"supporting"}',
+    ],
+)
+def test_a_repeated_key_is_found_whatever_colons_the_values_hold(line):
+    lines = ['{"citing_id":"doi:10.1/x","journal":"Nature: Reviews","class":"supporting"}', line]
+    assert ingest._jsonl_columns(lines) is None
+    records, report = ingest_stream(lines, Format.JSONL, Policy.SKIP)
+    assert len(list(records)) == 1
+    assert report.first_errors == [(2, "MalformedLineError: duplicate key 'journal'")]
+
+
+def test_colons_in_the_kept_values_take_no_second_decode():
+    lines = ['{"citing_id":"doi:10.1/%d","journal":"Nature: Reviews","class":"supporting"}' % i for i in range(300)]
+    with mock.patch.object(ingest, "_decode_json_unique", side_effect=AssertionError("decoded twice")):
+        records, report = ingest_stream(lines, Format.JSONL)
+        assert [r.citing_id for r in records] == [f"doi:10.1/{i}" for i in range(300)]
+    # With a colon spelled as an escape, the colons no longer bound the
+    # keys, so the block is decoded again to check them.
+    escaped = [r'{"x":"a:","journal":"n\u003a","class":"supporting"}']
+    decoded = []
+    decode = ingest._decode_json_unique
+    with mock.patch.object(ingest, "_decode_json_unique", lambda text: decoded.append(text) or decode(text)):
+        assert ingest._jsonl_columns(escaped) == ([""], ["n:"], ["supporting"])
+    assert len(decoded) == 1
+
+
+def test_a_failed_lookup_is_resolved_once():
+    calls = []
+
+    def resolve(raw):
+        calls.append(raw)
+        if raw == "bad":
+            raise UnknownClassError("unknown citation class 'bad'")
+        return raw.upper()
+
+    cache = {}
+    assert ingest._lookup(cache, ["a", "bad", "a"], resolve) == ["A", None, "A"]
+    assert ingest._lookup(cache, ["bad", "a", "bad"], resolve) == [None, "A", None]
+    assert sorted(calls) == ["a", "bad"]
