@@ -16,9 +16,8 @@ lines, and a corpus and a tally CSV are both cut into numbered blocks by
 :func:`batches`, the one reader of line 1 (its BOM, its header and their
 errors). A block reaches its column parser whole, no ``str`` made per line:
 a JSONL block as one JSON array, a CSV block through one ``csv.reader``
-(:func:`csv_rows`). A refused corpus block is read again in halves, down
-to lines on their own, which :func:`_fields` splits; a refused tally block
-is read a line at a time. :func:`csv_row` is the one place a CSV line's
+(:func:`csv_rows`). A refused block is read a line at a time, a corpus
+line split by :func:`_fields`. :func:`csv_row` is the one place a CSV line's
 error, U+0000 included, is worded.
 """
 
@@ -58,6 +57,10 @@ _BLOCK_BYTES = 1 << 14
 #: for ingest_stream and read_tally_csv to parse together, and records
 #: runs_of reads into one run.
 _BATCH_LINES = 256
+
+#: A failed lookup is kept in its cache only while the cache holds fewer
+#: entries than this, so bad values cannot grow it with the record count.
+_FAILED_LOOKUPS_BELOW = 1 << 10
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
@@ -433,9 +436,9 @@ def _jsonl_columns(block: Block) -> tuple[list[str], list[str], list[str]] | Non
     have as many elements as there are lines, each an object. Then no object
     nests or spans lines, so each line is exactly one object and what the
     separators add is whitespace (a CR before a ``\\n`` included). Every
-    key-value pair has a ``:``, so when the ``:`` beyond the kept keys,
-    summed, are all in the kept values, and none is spelled ``\\u003a``,
-    no object repeats a key; any other block is decoded again to check.
+    key-value pair has a ``:``, so as many ``:`` as kept keys, summed,
+    means no object repeats a key; only a block with more, say a ``:`` in a
+    value, is decoded again to check.
     """
     body = _text(block)
     if body is None:
@@ -454,13 +457,10 @@ def _jsonl_columns(block: Block) -> tuple[list[str], list[str], list[str]] | Non
         ids = list(map(dict.get, objs, repeat("citing_id"), repeat("")))  # a TypeError unless each is an object
         journals = list(map(itemgetter("journal"), objs))
         labels = list(map(itemgetter("class"), objs))
-        values = list(map("".join, (ids, journals, labels)))  # a TypeError unless each is a string
+        list(map("".join, (ids, journals, labels)))  # a TypeError unless each is a string
     except (KeyError, TypeError):
         return None
-    # No escaped colon: each decoded ':' of a kept value is a literal ':' of
-    # a token of its own, so the pairs number no more than the kept keys.
-    extra = text.count(":") - sum(map(len, objs))
-    if extra and (extra != sum(map(str.count, values, repeat(":"))) or "\\u003a" in text or "\\u003A" in text):
+    if text.count(":") != sum(map(len, objs)):
         try:
             _decode_json_unique(array)
         except MalformedLineError:
@@ -480,8 +480,10 @@ def _stripped_lines(block: Block) -> list[str]:
 
 def _lookup(cache: dict, raws, resolve) -> list:
     """``cache[raw]`` for each of ``raws``, None where ``resolve`` fails.
-    Each raw value missing from the cache is resolved once, and kept, as
-    None if that fails."""
+    Each raw value missing from the cache is resolved once and kept; one
+    that fails is kept as None while the cache holds fewer than
+    ``_FAILED_LOOKUPS_BELOW`` entries, and is resolved again when met again
+    after that."""
     try:
         return list(map(cache.__getitem__, raws))
     except KeyError:
@@ -490,8 +492,9 @@ def _lookup(cache: dict, raws, resolve) -> list:
         try:
             cache[raw] = resolve(raw)
         except CitemetricError:
-            cache[raw] = None
-    return list(map(cache.__getitem__, raws))
+            if len(cache) < _FAILED_LOOKUPS_BELOW:
+                cache[raw] = None
+    return list(map(cache.get, raws))
 
 
 def parse_record(line: str, fmt: Format) -> CitationRecord:
@@ -613,9 +616,8 @@ def ingest_stream(
     blocks: a :class:`Lines` from :func:`read_lines` hands over its decoded
     blocks, so a clean block reaches the column parser with no ``str`` made
     per line; any other iterable is read ahead a few hundred lines at a
-    time. A block the column parser refuses is read again in halves, each
-    refused half in turn, down to lines on their own, which ``_fields``
-    splits, a malformed line standing in as ``_NO_ROW``. Each block then
+    time. A block the column parser refuses is split one line at a time
+    instead, a malformed line standing in as ``_NO_ROW``. Each block then
     hands out one run: the ``(citing_ids, keys, classes)`` columns of its
     accepted lines, a ``compress`` mask dropping the others (under STRICT,
     every line from the first bad one on). Each bad line is parsed again by
@@ -628,9 +630,10 @@ def ingest_stream(
     on gets no more records.
     """
     report = IngestReport()
-    # Per-stream caches of lookups, a failed one kept as None: reject words
-    # each line that carries it through parse_record, so error counts and
-    # line numbers match a plain per-line parse_record.
+    # Per-stream caches of lookups, a few failed ones kept as None (see
+    # _lookup): reject words each line that carries one through
+    # parse_record, so error counts and line numbers match a plain per-line
+    # parse_record.
     classes: dict[str, CitationClass | None] = {}
     keys: dict[str, str | None] = {}
     columns = _COLUMNS.get(fmt)
@@ -640,17 +643,6 @@ def ingest_stream(
             return _fields(line, fmt)
         except MalformedLineError:
             return _NO_ROW
-
-    def split(lines: list[str]) -> Sequence[Sequence[str]]:
-        """The columns of ``lines``, which the column parser refused: those
-        of each half, the column parser's or, where it refuses the half too,
-        split in turn; a line on its own is split by ``_fields``. A few bad
-        lines thus cost a few parses of their block, not one per line."""
-        if len(lines) == 1:
-            return [[field] for field in row(lines[0])]
-        half = len(lines) // 2
-        parts = ((columns and columns(part)) or split(part) for part in (lines[:half], lines[half:]))
-        return [[*head, *tail] for head, tail in zip(*parts)]
 
     def reject(line: str, lineno: int) -> None:
         """Count ``line``, line ``lineno``, which its block's lookups refused,
@@ -672,7 +664,8 @@ def ingest_stream(
         for lineno, block in batches(source, CSV_HEADER if fmt is Format.CSV else None):
             parsed = columns(block) if columns else None
             lines = None if parsed else _stripped_lines(block)
-            ids, journals, labels = parsed or split(lines)
+            # A block the column parser refuses is split one line at a time.
+            ids, journals, labels = parsed or zip(*map(row, lines))
             klasses = _lookup(classes, labels, _class_of)
             found = _lookup(keys, journals, _key_of)
             kept = ()  # a clean block builds no mask

@@ -857,11 +857,11 @@ def test_a_clean_file_block_is_decoded_whole(tmp_path):
 
 
 @pytest.mark.parametrize("fmt, bad", [(Format.JSONL, "garbage"), (Format.CSV, 'w,"Nature,supporting')])
-def test_a_refused_block_is_read_again_in_halves(fmt, bad):
-    """One line the column parser refuses costs ``_fields`` two calls, to
-    split it and to word its error, not one per line of its block."""
+def test_a_refused_block_is_split_one_line_at_a_time(fmt, bad):
+    """Each line of a block the column parser refuses is split by
+    ``_fields``, and the bad one is parsed once more to word its error."""
     good = _J if fmt is Format.JSONL else "w1,Nature,supporting"
-    lines = [good] * ingest._BATCH_LINES
+    lines = [good] * (ingest._BATCH_LINES - (fmt is Format.CSV))  # one batch, the CSV header its first line
     lines[100] = bad
     source = [_HEADER, *lines] if fmt is Format.CSV else lines
     assert ingest._COLUMNS[fmt](lines) is None
@@ -869,7 +869,7 @@ def test_a_refused_block_is_read_again_in_halves(fmt, bad):
     fields = ingest._fields
     with mock.patch.object(ingest, "_fields", lambda line, fmt: calls.append(line) or fields(line, fmt)):
         got = stream_outcome(*ingest_stream(source, fmt, Policy.SKIP))
-    assert calls == [bad, bad]
+    assert calls == [*lines, bad]
     assert got == per_line_reference(source, fmt, Policy.SKIP)
 
 
@@ -890,21 +890,6 @@ def test_a_repeated_key_is_found_whatever_colons_the_values_hold(line):
     assert report.first_errors == [(2, "MalformedLineError: duplicate key 'journal'")]
 
 
-def test_colons_in_the_kept_values_take_no_second_decode():
-    lines = ['{"citing_id":"doi:10.1/%d","journal":"Nature: Reviews","class":"supporting"}' % i for i in range(300)]
-    with mock.patch.object(ingest, "_decode_json_unique", side_effect=AssertionError("decoded twice")):
-        records, report = ingest_stream(lines, Format.JSONL)
-        assert [r.citing_id for r in records] == [f"doi:10.1/{i}" for i in range(300)]
-    # With a colon spelled as an escape, the colons no longer bound the
-    # keys, so the block is decoded again to check them.
-    escaped = [r'{"x":"a:","journal":"n\u003a","class":"supporting"}']
-    decoded = []
-    decode = ingest._decode_json_unique
-    with mock.patch.object(ingest, "_decode_json_unique", lambda text: decoded.append(text) or decode(text)):
-        assert ingest._jsonl_columns(escaped) == ([""], ["n:"], ["supporting"])
-    assert len(decoded) == 1
-
-
 def test_a_failed_lookup_is_resolved_once():
     calls = []
 
@@ -918,3 +903,22 @@ def test_a_failed_lookup_is_resolved_once():
     assert ingest._lookup(cache, ["a", "bad", "a"], resolve) == ["A", None, "A"]
     assert ingest._lookup(cache, ["bad", "a", "bad"], resolve) == [None, "A", None]
     assert sorted(calls) == ["a", "bad"]
+
+
+@pytest.mark.parametrize("fmt", list(Format))
+def test_failed_lookups_do_not_grow_the_caches_with_the_lines(fmt):
+    """A different bad label on every line, as when the class column holds
+    ids: the caches keep at most ``_FAILED_LOOKUPS_BELOW`` entries."""
+    lines = [
+        f"w{i},Nature,w{i}" if fmt is Format.CSV else f'{{"journal":"Nature","class":"w{i}"}}' for i in range(600)
+    ]
+    source = [_HEADER, *lines] if fmt is Format.CSV else lines
+    caches = []
+    lookup = ingest._lookup
+    with mock.patch.object(ingest, "_FAILED_LOOKUPS_BELOW", 16), mock.patch.object(
+        ingest, "_lookup", lambda cache, raws, resolve: caches.append(cache) or lookup(cache, raws, resolve)
+    ):
+        got = stream_outcome(*ingest_stream(source, fmt, Policy.SKIP))
+    assert got == per_line_reference(source, fmt, Policy.SKIP)
+    assert got[1][1] == 600
+    assert max(map(len, caches)) == 16
